@@ -363,9 +363,10 @@ def simulate_point(
     :class:`~repro.faults.FaultResult` as ``.fault`` (size the config
     via :func:`~repro.faults.prepare_fault_policy` first, or pass
     ``config=None`` after preparing the policy).  ``link_telemetry=True``
-    attaches the flat engine's per-link flit counters (measure window
-    only) and hangs the nonzero ``{(u, v): flits}`` map on the result as
-    ``.link_flits`` — counters never perturb simulation results.  A
+    attaches the engine's per-link flit counter (measure window only,
+    either engine) and hangs the nonzero ``{(u, v): flits}`` map on the
+    result as ``.link_flits`` — counters never perturb simulation
+    results.  A
     nonzero ``window`` collects a per-window time series through
     :func:`~repro.flitsim.telemetry.run_with_timeseries` (result
     bit-identical to the uninstrumented run) and hangs the
@@ -377,8 +378,7 @@ def simulate_point(
         topo, policy, traffic, float(load), config=config, seed=seed,
         engine=engine, faults=faults,
     )
-    want_links = link_telemetry and hasattr(sim, "attach_link_telemetry")
-    if want_links:
+    if link_telemetry:
         sim.attach_link_telemetry()
     if window:
         from repro.flitsim.telemetry import run_with_timeseries
@@ -392,7 +392,7 @@ def simulate_point(
         res = sim.run(warmup=warmup, measure=measure, drain=drain)
     if sim.fault_result is not None:
         res.fault = sim.fault_result
-    if want_links:
+    if link_telemetry:
         res.link_flits = sim.link_flit_counts()
     return res
 

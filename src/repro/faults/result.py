@@ -11,7 +11,9 @@ mark cleanly separates pre-fault from post-fault packets in both
 engines, bit-identically.
 
 When the run was collected through a windowed driver
-(:func:`repro.flitsim.telemetry.run_with_timeseries`), the result also
+(:func:`repro.flitsim.telemetry.run_with_timeseries` or
+``run_workload_with_timeseries``), the engine's run loop hands the
+probe's window series to the fault state, and the result also
 carries *recovery* analytics derived from the window series
 (:func:`repro.obs.timeseries.fault_recovery`): pre-fault baseline
 throughput and how many cycles the network took to return to it — a

@@ -91,10 +91,6 @@ typedef struct {
      * — the host rebinds it every cycle, so the disabled path costs one
      * predictable branch per forwarded flit. */
     int64_t *link_flits;
-    /* Windowed per-link counters (same n * Dp layout): NULL unless a
-     * time-series collector is attached; the host flushes and zeroes
-     * the array at each window boundary. */
-    int64_t *link_flits_win;
 } SimState;
 """
 
@@ -330,11 +326,9 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
             int64_t in2 = st->rev[r * Dp + out];
             int64_t out2;
             /* Telemetry counts at grant time, before the fault doom
-             * check below — the reference hook's accounting point. */
+             * check below — the reference engine's accounting point. */
             if (st->link_flits)
                 st->link_flits[r * Dp + out] += 1;
-            if (st->link_flits_win)
-                st->link_flits_win[r * Dp + out] += 1;
             if (nxt == st->pkt_dst[pid])
                 out2 = OE;
             else

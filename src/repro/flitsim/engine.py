@@ -252,10 +252,13 @@ def make_fault_state(faults, topo, policy):
 
 
 class SimulatorCore:
-    """Run-loop and congestion-view surface shared by both engines.
+    """Run loop, link counter and congestion-view surface of both engines.
 
-    Subclasses provide ``step()`` plus the state the protocol requires
-    (``now``, ``load``, ``_measuring``, ``_stat``).
+    Subclasses provide ``step()``, ``link_occupancy()`` and the state
+    the protocol requires (``now``, ``load``, ``_measuring``, ``_stat``,
+    and ``_link_nbr`` — the ``(n, Dp)`` neighbor of each link output,
+    ``-1`` padding, which fixes the ``router * Dp + out_port`` layout
+    of the link counter and of ``link_occupancy()``).
     """
 
     #: closed-loop workload state; engine constructors set per instance
@@ -264,6 +267,8 @@ class SimulatorCore:
     _fault = None
     #: fault accounting of the last run (None without a timeline)
     fault_result = None
+    #: cumulative per-link flit counter (:meth:`attach_link_telemetry`)
+    _ltel = None
 
     def output_capacity(self) -> int:
         """Normalization for threshold-style adaptive decisions."""
@@ -272,41 +277,46 @@ class SimulatorCore:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def link_occupancy(self) -> np.ndarray:  # pragma: no cover - abstract
+        """Credit-derived buffered flits per link output (0 on padding)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Per-link telemetry (observability; never perturbs results)
+    # ------------------------------------------------------------------
+    def attach_link_telemetry(self) -> np.ndarray:
+        """Allocate (idempotently) the per-link flit counter; the array.
+
+        Flat ``int64`` counts indexed ``router * Dp + out_port``.  A
+        link grant counts during the measure window only, *before* any
+        fault doom filtering, at the same point in every engine and
+        cycle path, so the counts agree bit-exactly.  Attaching never
+        changes simulation results.
+        """
+        if self._ltel is None:
+            self._ltel = np.zeros(self._link_nbr.size, dtype=np.int64)
+        return self._ltel
+
+    def link_flit_counts(self) -> dict:
+        """Nonzero per-directed-link counts as ``{(u, v): flits}``.
+
+        Empty when telemetry was never attached.
+        """
+        return {} if self._ltel is None else self._link_dict(self._ltel)
+
+    def _link_dict(self, values: np.ndarray) -> dict:
+        """Nonzero entries of a link-layout array as ``{(u, v): int}``."""
+        idx = np.flatnonzero(values)
+        src = idx // self._link_nbr.shape[1]
+        dst = self._link_nbr.ravel()[idx]
+        return dict(zip(zip(src.tolist(), dst.tolist()), values[idx].tolist()))
+
+    # ------------------------------------------------------------------
+    # The run loop
+    # ------------------------------------------------------------------
     def run(self, warmup: int = 600, measure: int = 1200, drain: int = 300) -> SimResult:
         """Warm up, measure, optionally drain; returns the window's stats."""
-        if self._wl is not None:
-            raise RuntimeError(
-                "this simulator drives a workload; use run_workload()"
-            )
-        if self._fault is not None:
-            self._fault.begin_run(self.policy)
-        for _ in range(warmup):
-            self.step()
-        self._measuring = True
-        start = self.now
-        for _ in range(measure):
-            self.step()
-        self._stat.cycles = self.now - start
-        self._measuring = False
-        self._drain(drain)
-        self.result = self._stat.finalize()
-        if self._fault is not None:
-            self.fault_result = self._fault.build_result(self._stat)
-        return self._stat
-
-    def _drain(self, drain: int) -> None:
-        """Step ``drain`` cycles at zero offered load (post-measure).
-
-        Measured packets still in flight keep recording latency samples
-        while they eject — :meth:`run` and the windowed drivers in
-        :mod:`repro.flitsim.telemetry` share this so their results stay
-        bit-identical.
-        """
-        if drain:
-            saved_load, self.load = self.load, 0.0
-            for _ in range(drain):
-                self.step()
-            self.load = saved_load
+        return self._run(warmup, measure, drain)
 
     def run_workload(self, max_cycles: int = 200_000):
         """Run the attached workload to completion (or ``max_cycles``).
@@ -318,25 +328,82 @@ class SimulatorCore:
         finishes.  Returns a
         :class:`~repro.workloads.WorkloadResult`.
         """
-        if self._wl is None:
-            raise RuntimeError(
-                "no workload attached; pass workload= at construction"
-            )
-        from repro.workloads.result import build_workload_result
+        return self._run(max_cycles=max_cycles)
 
+    def _run(self, warmup=0, measure=0, drain=0, max_cycles=None, probe=None):
+        """The one cycle loop behind every run driver.
+
+        Open loop (``max_cycles`` is None): ``warmup`` cycles, then
+        ``measure`` measured cycles, then ``drain`` cycles at zero
+        offered load; returns the :class:`SimResult`.  Closed loop:
+        measured cycles until the workload is done or ``now`` reaches
+        ``max_cycles``; returns the ``WorkloadResult``.  Both start with
+        the fault timeline's ``begin_run`` and end by setting
+        ``fault_result``.  Every cycle is one ``self.step()`` call.
+
+        A ``probe`` (see :mod:`repro.flitsim.telemetry`) watches the
+        measure phase: ``begin(sim)`` as it opens, ``sample(sim)`` after
+        measured cycle ``k`` when ``(k - 1) % sample_every == 0``, and
+        ``close(sim, k)`` when ``k % window == 0`` and after the last
+        cycle.  Its ``series`` feeds the fault result's recovery
+        analytics.  Probes only read state, so results stay
+        bit-identical with or without one.
+        """
+        wl = self._wl
+        if (max_cycles is None) != (wl is None):
+            raise RuntimeError(
+                "this simulator drives a workload; use run_workload()"
+                if wl is not None
+                else "no workload attached; pass workload= at construction"
+            )
         if self._fault is not None:
             self._fault.begin_run(self.policy)
-        self._measuring = True
-        state = self._wl
-        while not state.done and self.now < max_cycles:
+        for _ in range(warmup):
             self.step()
-        self._stat.cycles = self.now
+        self._measuring = True
+        start = self.now
+        if probe is not None:
+            probe.begin(self)
+        k = 0
+        while (k < measure) if wl is None else (
+            not wl.done and self.now < max_cycles
+        ):
+            self.step()
+            k += 1
+            if probe is not None:
+                if (k - 1) % probe.sample_every == 0:
+                    probe.sample(self)
+                if k % probe.window == 0:
+                    probe.close(self, k)
+        if probe is not None and k % probe.window:
+            probe.close(self, k)
+        self._stat.cycles = self.now - start
         self._measuring = False
-        self._stat.finalize()
+        self._drain(drain)
+        self.result = self._stat.finalize()
         if self._fault is not None:
-            self.fault_result = self._fault.build_result(self._stat)
-        self.workload_result = build_workload_result(state, self._stat, self.topo)
+            self.fault_result = self._fault.build_result(
+                self._stat, series=None if probe is None else probe.series
+            )
+        if wl is None:
+            return self._stat
+        from repro.workloads.result import build_workload_result
+
+        self.workload_result = build_workload_result(wl, self._stat, self.topo)
         return self.workload_result
+
+    def _drain(self, drain: int) -> None:
+        """Step ``drain`` cycles at zero offered load (post-measure).
+
+        Measured packets still in flight keep recording latency samples
+        while they eject, but the measure window is closed: no injected
+        or ejected flit counts and no link grants tick here.
+        """
+        if drain:
+            saved_load, self.load = self.load, 0.0
+            for _ in range(drain):
+                self.step()
+            self.load = saved_load
 
 
 def _engine_classes() -> dict:

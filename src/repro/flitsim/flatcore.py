@@ -273,16 +273,13 @@ class FlatSimulator(SimulatorCore):
         self._measuring = False
         self._stat = SimResult(load, 0, fab.E)
 
-        # Optional per-link flit counters (:meth:`attach_link_telemetry`).
-        # None by default: the numpy route phase pays one identity check
-        # per cycle and the C kernel a NULL pointer it never follows.
-        self._ltel: "np.ndarray | None" = None
+        # Layout of the optional per-link flit counter; the counter
+        # stays None until :meth:`attach_link_telemetry`, so the numpy
+        # route phase pays one identity check per cycle and the C kernel
+        # a NULL pointer it never follows.
+        self._link_nbr = fab.nbr_mat
         self._ltel_dp = max(fab.D, 1)
         self._ltel_buf = None
-        # Windowed sibling: flushed and zeroed at each window boundary
-        # by a time-series collector (attach_link_telemetry(windowed=True)).
-        self._ltel_win: "np.ndarray | None" = None
-        self._ltel_win_buf = None
 
         # Fault-mode state: per-(router, output-column) death mask and
         # outstanding-flit counts per packet slot (drops can retire a
@@ -353,89 +350,20 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Per-link telemetry (observability; never perturbs results)
     # ------------------------------------------------------------------
-    def attach_link_telemetry(self, windowed: bool = False) -> "np.ndarray":
-        """Allocate (idempotently) per-link flit counters; the array.
+    def attach_link_telemetry(self) -> "np.ndarray":
+        """The shared counter, also bound for the C kernel to increment."""
+        ltel = super().attach_link_telemetry()
+        if self._kernel is not None and self._ltel_buf is None:
+            self._ltel_buf = self._kernel.ffi.from_buffer("int64_t[]", ltel)
+        return ltel
 
-        Flat ``int64`` counters of shape ``n * max(D, 1)``, indexed
-        ``router * Dp + out_port`` (the kernel credits layout).  A link
-        grant is counted during the measure window only, *before* any
-        fault doom filtering — the same accounting point as the
-        reference engine's ``run_with_telemetry`` forward hook, so the
-        two agree bit-exactly.  Works in both the numpy and C-kernel
-        route phases; attaching never changes simulation results.
-
-        With ``windowed=True`` a second counter array of the same shape
-        is allocated alongside: it ticks at the identical grant point
-        but is read out and zeroed at window boundaries via
-        :meth:`flush_window_link_counts`, while the cumulative array
-        keeps the whole-run totals.
-        """
-        if self._ltel is None:
-            self._ltel = np.zeros(
-                self.fab.n * self._ltel_dp, dtype=np.int64
-            )
-            if self._kernel is not None:
-                self._ltel_buf = self._kernel.ffi.from_buffer(
-                    "int64_t[]", self._ltel
-                )
-        if windowed and self._ltel_win is None:
-            self._ltel_win = np.zeros(
-                self.fab.n * self._ltel_dp, dtype=np.int64
-            )
-            if self._kernel is not None:
-                self._ltel_win_buf = self._kernel.ffi.from_buffer(
-                    "int64_t[]", self._ltel_win
-                )
-        return self._ltel
-
-    def link_flit_counts(self) -> dict:
-        """Nonzero per-directed-link counts as ``{(u, v): flits}``.
-
-        The dict form of the attached counter array, keyed like the
-        reference telemetry's ``link_flits`` (source router, neighbor).
-        Empty when telemetry was never attached.
-        """
-        if self._ltel is None:
-            return {}
-        fab = self.fab
-        counts = {}
-        for i in np.flatnonzero(self._ltel).tolist():
-            r, out = divmod(i, self._ltel_dp)
-            counts[(r, int(fab.nbr_mat[r, out]))] = int(self._ltel[i])
-        return counts
-
-    def flush_window_link_counts(self) -> dict:
-        """Drain the windowed counters: nonzero ``{(u, v): flits}``.
-
-        Reads the per-window array (nonzero entries only, keyed like
-        :meth:`link_flit_counts`) and zeroes it for the next window.
-        Empty when windowed telemetry was never attached.
-        """
-        if self._ltel_win is None:
-            return {}
-        fab = self.fab
-        counts = {}
-        for i in np.flatnonzero(self._ltel_win).tolist():
-            r, out = divmod(i, self._ltel_dp)
-            counts[(r, int(fab.nbr_mat[r, out]))] = int(self._ltel_win[i])
-        self._ltel_win[:] = 0
-        return counts
-
-    def sampled_occupancy_total(self) -> int:
-        """Total buffered flits across all real ports, as one int.
-
-        The same credit-derived quantity ``run_with_telemetry`` samples
-        per port, summed — the reference engine's
-        ``sampled_occupancy_total`` computes it port by port, and the
-        per-port values are already pinned bit-equal, so the totals
-        agree exactly.
-        """
-        fab = self.fab
-        if fab.D == 0:
-            return 0
-        cap = self.config.port_capacity
-        port_mask = np.arange(self._ltel_dp)[None, :] < fab.deg[:, None]
-        return int((cap - self.credits.sum(axis=2))[port_mask].sum())
+    def link_occupancy(self) -> np.ndarray:
+        """Credit-derived buffered flits per link output, vectorized."""
+        occ = self.config.port_capacity - self.credits.sum(axis=2)
+        # Padding columns (port >= deg) hold 0 credits, which would read
+        # as a full buffer.
+        occ[self.fab.nbr_mat < 0] = 0
+        return occ.ravel()
 
     # ------------------------------------------------------------------
     # C kernel plumbing
@@ -518,7 +446,6 @@ class FlatSimulator(SimulatorCore):
         # Link telemetry binds per cycle (measure window only); outside
         # it the kernel sees NULL and skips counting entirely.
         st.link_flits = ffi.NULL
-        st.link_flits_win = ffi.NULL
         self._st_refs = refs
 
     # ------------------------------------------------------------------
@@ -963,13 +890,9 @@ class FlatSimulator(SimulatorCore):
             r_f, out_f = r_w[fwd], out_w[fwd]
             if self._measuring:
                 # Count at grant time, before fault doom filtering — the
-                # reference telemetry hook's accounting point.
+                # reference engine's accounting point in ``_forward``.
                 if self._ltel is not None:
                     np.add.at(self._ltel, r_f * self._ltel_dp + out_f, 1)
-                if self._ltel_win is not None:
-                    np.add.at(
-                        self._ltel_win, r_f * self._ltel_dp + out_f, 1
-                    )
             hop_f = hop_w[fwd]
             nxt_r = fab.nbr_mat[r_f, out_f]
             in_next = fab.rev_mat[r_f, out_f]
@@ -1170,12 +1093,6 @@ class FlatSimulator(SimulatorCore):
             # it the kernel sees NULL and skips the increment branch.
             self._st.link_flits = (
                 self._ltel_buf if self._measuring else self._kernel.ffi.NULL
-            )
-        if self._ltel_win_buf is not None:
-            self._st.link_flits_win = (
-                self._ltel_win_buf
-                if self._measuring
-                else self._kernel.ffi.NULL
             )
         lib.kfeed(self._st, self.now)
         n_tail = lib.kroute(self._st, self.now, self._n_ej)

@@ -100,6 +100,14 @@ class NetworkSimulator(SimulatorCore):
         self.rev_port = [
             [self.port_of[int(v)][r] for v in self.nbrs[r]] for r in range(n)
         ]
+        # The same ports as an (n, Dp) matrix padded with -1: the layout
+        # of the link counter and of link_occupancy(), shared with the
+        # flat engine.
+        self._link_nbr = np.full(
+            (n, max([1, *map(len, self.nbrs)])), -1, dtype=np.int64
+        )
+        for r, nb in enumerate(self.nbrs):
+            self._link_nbr[r, : len(nb)] = nb
         # Input ports 0..deg-1 are link inputs; deg..deg+p-1 injection ports.
         self.num_in_ports = [
             len(self.nbrs[r]) + int(topo.concentration[r]) for r in range(n)
@@ -487,6 +495,10 @@ class NetworkSimulator(SimulatorCore):
             if self._measuring:
                 self._stat.ejected_flits += 1
             return
+        if self._ltel is not None and self._measuring:
+            # Link telemetry counts at grant time, before the fault doom
+            # check below.
+            self._ltel[r * self._link_nbr.shape[1] + out] += 1
         nxt = int(self.nbrs[r][out])
         in_port = self.rev_port[r][out]
         ready = self.now + cfg.link_latency + cfg.router_pipeline
@@ -501,21 +513,14 @@ class NetworkSimulator(SimulatorCore):
         self.credits[r][out][dvc] -= 1
         self._enqueue_voq(nxt, in_port, nxt_flit)
 
-    def sampled_occupancy_total(self) -> int:
-        """Total buffered flits across all real ports, as one int.
-
-        Sums the same credit-derived per-port occupancy that
-        ``run_with_telemetry`` samples; the flat engine's
-        ``sampled_occupancy_total`` computes the identical quantity
-        vectorized, so a windowed collector fed by either engine sees
-        bit-equal samples.
-        """
+    def link_occupancy(self) -> np.ndarray:
+        """Credit-derived buffered flits per link output, port by port."""
         cap = self.config.port_capacity
-        total = 0
-        for r in range(self.topo.num_routers):
-            for port in range(len(self.nbrs[r])):
-                total += cap - sum(self.credits[r][port])
-        return int(total)
+        occ = np.zeros(self._link_nbr.shape, dtype=np.int64)
+        for r, ports in enumerate(self.credits):
+            for port, vcs in enumerate(ports):
+                occ[r, port] = cap - sum(vcs)
+        return occ.ravel()
 
     def step(self) -> None:
         """Advance the simulation by one cycle."""

@@ -7,7 +7,6 @@ the paper plots: average latency vs offered load, plus accepted throughput
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +61,9 @@ class LoadSweep:
     def throughputs(self) -> np.ndarray:
         return np.array([p.accepted_load for p in self.points])
 
-    def saturation_load(self, efficiency=None) -> float:
+    def saturation_load(self) -> float:
         """The curve's saturation throughput (see :func:`saturation_load`)."""
-        return saturation_load(self.points, efficiency)
+        return saturation_load(self.points)
 
     def rows(self) -> list[dict]:
         """Table rows (one per load point) for report printing."""
@@ -79,25 +78,13 @@ class LoadSweep:
         ]
 
 
-def saturation_load(points, efficiency=None) -> float:
+def saturation_load(points) -> float:
     """The plateau (maximum) of accepted load over the sweep.
 
     This is the paper's saturation-throughput metric: below saturation
     accepted tracks offered, past it accepted flattens at the plateau,
     so the maximum accepted load IS the saturation throughput.
-
-    .. deprecated::
-        ``efficiency`` never affected the result (the historical pre/post
-        saturation branches computed the same maximum); passing it warns
-        and the parameter will be removed.
     """
-    if efficiency is not None:
-        warnings.warn(
-            "saturation_load(efficiency=...) is deprecated: the parameter "
-            "has never affected the result and will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return max((p.accepted_load for p in points), default=0.0)
 
 

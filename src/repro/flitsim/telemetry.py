@@ -1,20 +1,26 @@
-"""Telemetry: per-link utilization and queue-depth sampling.
+"""Telemetry: per-link flit counts, queue-depth sampling, time series.
 
-Wraps a :class:`~repro.flitsim.reference.NetworkSimulator` run with
-counters a network operator would scrape: flits carried per directed
-link, buffer occupancy samples, and derived hot-spot reports.  Used by
-the adversarial-traffic analyses to show *where* min-path routing
-concentrates load (the mechanistic story behind Figure 9).
+Counters a network operator would scrape — flits carried per directed
+link, buffer occupancy samples, derived hot-spot reports — and the
+windowed time series of :mod:`repro.obs.timeseries`.  Used by the
+adversarial-traffic analyses to show *where* min-path routing
+concentrates load (the mechanistic story behind Figure 9), and by
+windowed sweep cells to show *when*.
 
-Telemetry instruments *both* engines: the reference engine by hooking
-its per-flit forward step, and the flat engine via vectorized counter
-arrays (:meth:`~repro.flitsim.flatcore.FlatSimulator.attach_link_telemetry`,
-with a counter-array hook inside the C kernel so kernel mode stays
-instrumented).  Both count a link grant at the same accounting point —
-before any fault doom filtering, during the measure window only — so
-per-link flit counts agree bit-exactly across engines (pinned by
-``tests/test_telemetry_flat.py``), which makes telemetry usable at
-scales where the reference engine is too slow.
+Nothing here runs cycles.  Each driver builds a probe and hands it to
+the engine's one run loop (``SimulatorCore._run``), which calls it
+during the measure phase.  Both engines keep one cumulative per-link
+grant counter (``attach_link_telemetry()`` / ``link_flit_counts()``):
+a link grant counts during the measure window only, before any fault
+doom filtering, in the reference engine's forward step, the flat
+engine's numpy route phase and the C kernel alike.  A probe reads link
+counts as deltas between snapshots of that counter and samples
+credit-derived occupancy through ``link_occupancy()``.  Per-link
+counts, occupancy samples and window records therefore agree
+bit-exactly across the three cycle paths (pinned by
+``tests/test_telemetry_flat.py`` and ``tests/test_timeseries.py``),
+which makes telemetry usable at scales where the reference engine is
+too slow.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.flitsim.reference import NetworkSimulator
+from repro.flitsim.engine import SimulatorCore
 from repro.obs.timeseries import TimeSeriesCollector, WindowSeries
 
 __all__ = [
@@ -100,226 +106,124 @@ class LinkTelemetry:
         return float((n + 1 - 2 * (cum / cum[-1]).sum()) / n)
 
 
+class _Probe:
+    """Measure-phase hooks for ``SimulatorCore._run`` (see there).
+
+    Attaches the engine's link counter; :meth:`link_delta` returns the
+    per-link flits granted since the previous call (or since
+    :meth:`begin`).
+    """
+
+    #: window series for the fault result's recovery analytics
+    series = None
+
+    def __init__(self, sim, window: int, sample_every: int):
+        if not isinstance(sim, SimulatorCore):
+            raise TypeError(
+                "telemetry instruments a simulator engine; got "
+                f"{type(sim).__name__}"
+            )
+        self.window = window
+        self.sample_every = sample_every
+        self._counts = sim.attach_link_telemetry()
+
+    def begin(self, sim) -> None:
+        self._base = self._counts.copy()
+
+    def link_delta(self, sim) -> dict:
+        now = self._counts.copy()
+        delta, self._base = now - self._base, now
+        return sim._link_dict(delta)
+
+
+class _LinkProbe(_Probe):
+    """One window over the whole measure phase, per-link occupancy."""
+
+    def __init__(self, sim, measure: int, sample_every: int):
+        super().__init__(sim, max(measure, 1), sample_every)
+        self.link_flits: dict = {}
+        self.occupancy = np.zeros_like(self._counts)
+        self.samples = 0
+
+    def sample(self, sim) -> None:
+        self.samples += 1
+        self.occupancy += sim.link_occupancy()
+
+    def close(self, sim, end: int) -> None:
+        self.link_flits = self.link_delta(sim)
+
+
 def run_with_telemetry(
     sim, warmup: int = 300, measure: int = 600, sample_every: int = 8
 ):
     """Run ``sim`` collecting link telemetry during the measurement window.
 
-    Returns ``(SimResult, LinkTelemetry)``.  Accepts either engine: the
-    reference engine derives link counts by intercepting its per-flit
-    forward step, the flat engine by attaching its vectorized counter
-    arrays (numpy or C-kernel route phase alike).  Occupancy is sampled
-    every ``sample_every`` cycles from credit state in both.  The two
-    engines' per-link flit counts are bit-identical for the same seed.
+    Returns ``(SimResult, LinkTelemetry)``.  The run is
+    ``run(warmup, measure, drain=0)`` exactly — fault ``begin_run``
+    and ``fault_result`` included — with per-link flit counts over the
+    measure phase and per-link occupancy sampled from credit state every
+    ``sample_every`` cycles.  Either engine, bit-identical per seed.
     """
-    if isinstance(sim, NetworkSimulator):
-        return _run_reference_telemetry(sim, warmup, measure, sample_every)
-    from repro.flitsim.flatcore import FlatSimulator
-
-    if isinstance(sim, FlatSimulator):
-        return _run_flat_telemetry(sim, warmup, measure, sample_every)
-    raise TypeError(
-        "run_with_telemetry instruments the reference or flat engine; got "
-        f"{type(sim).__name__}"
-    )
-
-
-def _run_reference_telemetry(
-    sim: NetworkSimulator, warmup: int, measure: int, sample_every: int
-):
-    """The forward-hook path for the dict-of-deques reference engine."""
+    probe = _LinkProbe(sim, measure, sample_every)
+    res = sim._run(warmup, measure, probe=probe)
+    occupancy = sim._link_dict(probe.occupancy)
     telemetry = LinkTelemetry(
-        cycles=measure, num_directed_links=2 * sim.topo.num_links
+        cycles=measure,
+        num_directed_links=2 * sim.topo.num_links,
+        link_flits=probe.link_flits,
+        mean_occupancy={k: s / probe.samples for k, s in occupancy.items()},
     )
-    counting = False
-    original_forward = sim._forward
-
-    def counted_forward(r, flit, out, dvc):
-        if counting and out != -1:  # EJECT is -1
-            nxt = int(sim.nbrs[r][out])
-            key = (r, nxt)
-            telemetry.link_flits[key] = telemetry.link_flits.get(key, 0) + 1
-        return original_forward(r, flit, out, dvc)
-
-    sim._forward = counted_forward
-    occupancy_sum: dict = {}
-    samples = 0
-    try:
-        for _ in range(warmup):
-            sim.step()
-        counting = True
-        sim._measuring = True
-        start = sim.now
-        for i in range(measure):
-            sim.step()
-            if i % sample_every == 0:
-                samples += 1
-                for r in range(sim.topo.num_routers):
-                    for port, v in enumerate(sim.nbrs[r]):
-                        occ = sim.config.port_capacity - sum(sim.credits[r][port])
-                        if occ:
-                            key = (r, int(v))
-                            occupancy_sum[key] = occupancy_sum.get(key, 0) + occ
-        sim._stat.cycles = sim.now - start
-        sim._measuring = False
-    finally:
-        sim._forward = original_forward
-    telemetry.mean_occupancy = {
-        k: s / max(samples, 1) for k, s in occupancy_sum.items()
-    }
-    sim.result = sim._stat.finalize()
-    return sim._stat, telemetry
-
-
-def _run_flat_telemetry(sim, warmup: int, measure: int, sample_every: int):
-    """The counter-array path for the struct-of-arrays flat engine.
-
-    Mirrors the reference loop exactly (same warmup/measure windows,
-    same post-step sampling cycles, no drain) so the collected counts
-    are bit-comparable.  Works with both the numpy route phase and the
-    C kernel — :meth:`attach_link_telemetry` instruments either.
-    """
-    fab = sim.fab
-    telemetry = LinkTelemetry(
-        cycles=measure, num_directed_links=2 * sim.topo.num_links
-    )
-    ltel = sim.attach_link_telemetry()
-    base = ltel.copy()
-    Dp = sim._ltel_dp
-    cap = sim.config.port_capacity
-    # Padding credit columns (port >= deg) hold 0 credits, which would
-    # read as a full buffer; mask to real link ports, like the reference
-    # loop's iteration over nbrs[r].
-    port_mask = np.arange(Dp)[None, :] < fab.deg[:, None]
-    occupancy_sum = np.zeros((fab.n, Dp), dtype=np.int64)
-    samples = 0
-    for _ in range(warmup):
-        sim.step()
-    sim._measuring = True
-    start = sim.now
-    for i in range(measure):
-        sim.step()
-        if i % sample_every == 0:
-            samples += 1
-            occupancy_sum += cap - sim.credits.sum(axis=2)
-    sim._stat.cycles = sim.now - start
-    sim._measuring = False
-    delta = ltel - base
-    for idx in np.flatnonzero(delta).tolist():
-        r, out = divmod(idx, Dp)
-        telemetry.link_flits[(r, int(fab.nbr_mat[r, out]))] = int(delta[idx])
-    occupancy_sum[~port_mask] = 0
-    rr, oo = np.nonzero(occupancy_sum)
-    telemetry.mean_occupancy = {
-        (int(r), int(fab.nbr_mat[r, o])): occupancy_sum[r, o] / max(samples, 1)
-        for r, o in zip(rr.tolist(), oo.tolist())
-    }
-    sim.result = sim._stat.finalize()
-    return sim._stat, telemetry
+    return res, telemetry
 
 
 # ---------------------------------------------------------------------------
 # Windowed time series (repro.obs.timeseries drivers)
 
 
-class _RefProbe:
-    """Windowed link counting + occupancy reads for the reference engine.
-
-    Counts link grants in a ``_forward`` wrapper at the same accounting
-    point as ``run_with_telemetry`` (grant time, before fault doom
-    filtering, EJECT excluded); the window dict is copied and cleared at
-    each flush.
-    """
-
-    def __init__(self, sim: NetworkSimulator):
-        self.sim = sim
-        self.counts: dict = {}
-        self._counting = False
-        self._orig = sim._forward
-
-        def counted(r, flit, out, dvc):
-            if self._counting and out != -1:  # EJECT is -1
-                key = (r, int(sim.nbrs[r][out]))
-                self.counts[key] = self.counts.get(key, 0) + 1
-            return self._orig(r, flit, out, dvc)
-
-        sim._forward = counted
-
-    def begin(self) -> None:
-        self._counting = True
-
-    def occupancy_total(self) -> int:
-        return self.sim.sampled_occupancy_total()
-
-    def flush_links(self) -> dict:
-        counts, self.counts = self.counts, {}
-        return counts
-
-    def end(self) -> None:
-        self._counting = False
-        self.sim._forward = self._orig
-
-
-class _FlatProbe:
-    """Windowed counter arrays + occupancy reads for the flat engine.
-
-    ``attach_link_telemetry(windowed=True)`` instruments both the numpy
-    route phase and the C kernel (the ``link_flits_win`` struct field);
-    the counters tick only while the measure window is open, so no
-    explicit begin/end gating is needed here.
-    """
-
-    def __init__(self, sim):
-        self.sim = sim
-        sim.attach_link_telemetry(windowed=True)
-
-    def begin(self) -> None:
-        pass
-
-    def occupancy_total(self) -> int:
-        return self.sim.sampled_occupancy_total()
-
-    def flush_links(self) -> dict:
-        return self.sim.flush_window_link_counts()
-
-    def end(self) -> None:
-        pass
-
-
-def _make_probe(sim):
-    if isinstance(sim, NetworkSimulator):
-        return _RefProbe(sim)
-    from repro.flitsim.flatcore import FlatSimulator
-
-    if isinstance(sim, FlatSimulator):
-        return _FlatProbe(sim)
-    raise TypeError(
-        "time-series collection instruments the reference or flat engine; "
-        f"got {type(sim).__name__}"
-    )
-
-
 def _dropped(sim) -> int:
     return sim._fault.dropped_flits if sim._fault is not None else 0
 
 
-def _close_window(sim, col, probe, end, start, marks_seen):
-    """Close one window at measure-relative ``end``; new marks cursor."""
-    faults = []
-    if sim._fault is not None:
-        new = sim._fault.marks[marks_seen:]
-        marks_seen = len(sim._fault.marks)
-        faults = [c - start for c, _ in new]
-    col.close_window(
-        end,
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        sim._stat.latencies,
-        probe.flush_links(),
-        faults,
-    )
-    return marks_seen
+class _SeriesProbe(_Probe):
+    """Closes one :class:`TimeSeriesCollector` window per ``window``."""
+
+    def __init__(self, sim, window: int, sample_every: int, top_links: int):
+        super().__init__(sim, window, sample_every)
+        self.top_links = top_links
+
+    def begin(self, sim) -> None:
+        super().begin(sim)
+        self.start = sim.now
+        self.col = TimeSeriesCollector(
+            self.window, top_links=self.top_links, start_cycle=sim.now
+        )
+        self.series = self.col.series
+        self.col.prime(
+            sim._stat.injected_flits,
+            sim._stat.ejected_flits,
+            _dropped(sim),
+            len(sim._stat.latencies),
+        )
+        self.marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
+
+    def sample(self, sim) -> None:
+        self.col.occupancy_sample(int(sim.link_occupancy().sum()))
+
+    def close(self, sim, end: int) -> None:
+        faults = []
+        if sim._fault is not None:
+            new = sim._fault.marks[self.marks_seen :]
+            self.marks_seen = len(sim._fault.marks)
+            faults = [c - self.start for c, _ in new]
+        self.col.close_window(
+            end,
+            sim._stat.injected_flits,
+            sim._stat.ejected_flits,
+            _dropped(sim),
+            sim._stat.latencies,
+            self.link_delta(sim),
+            faults,
+        )
 
 
 def run_with_timeseries(
@@ -333,9 +237,8 @@ def run_with_timeseries(
 ):
     """Run ``sim`` open-loop, collecting a windowed time series.
 
-    Returns ``(SimResult, WindowSeries)``.  The run protocol is
-    :meth:`~repro.flitsim.engine.SimulatorCore.run` exactly — fault
-    ``begin_run``, warmup, measure, zero-load drain, finalize — so the
+    Returns ``(SimResult, WindowSeries)``.  The run is
+    :meth:`~repro.flitsim.engine.SimulatorCore.run` exactly, so the
     returned :class:`SimResult` is bit-identical to an uninstrumented
     ``run()`` with the same phases.  On top, the measure phase is split
     into ``window``-cycle windows (the last may be shorter): per-window
@@ -348,43 +251,8 @@ def run_with_timeseries(
     all windows.  When faults are attached, the simulator's
     ``fault_result`` gains series-derived recovery analytics.
     """
-    probe = _make_probe(sim)
-    if sim._wl is not None:
-        raise RuntimeError("this simulator drives a workload; "
-                           "use run_workload_with_timeseries()")
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    for _ in range(warmup):
-        sim.step()
-    probe.begin()
-    sim._measuring = True
-    start = sim.now
-    col = TimeSeriesCollector(window, top_links=top_links, start_cycle=start)
-    col.prime(
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        len(sim._stat.latencies),
-    )
-    marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
-    for i in range(measure):
-        sim.step()
-        if i % sample_every == 0:
-            col.occupancy_sample(probe.occupancy_total())
-        if (i + 1) % window == 0 or (i + 1) == measure:
-            marks_seen = _close_window(
-                sim, col, probe, i + 1, start, marks_seen
-            )
-    sim._stat.cycles = sim.now - start
-    sim._measuring = False
-    probe.end()
-    sim._drain(drain)
-    sim.result = sim._stat.finalize()
-    if sim._fault is not None:
-        sim.fault_result = sim._fault.build_result(
-            sim._stat, series=col.series
-        )
-    return sim._stat, col.series
+    probe = _SeriesProbe(sim, window, sample_every, top_links)
+    return sim._run(warmup, measure, drain, probe=probe), probe.series
 
 
 def run_workload_with_timeseries(
@@ -396,50 +264,11 @@ def run_workload_with_timeseries(
 ):
     """Run the attached workload, collecting a windowed time series.
 
-    Returns ``(WorkloadResult, WindowSeries)``.  Mirrors
-    :meth:`~repro.flitsim.engine.SimulatorCore.run_workload` (measured
-    from cycle 0, exits when the collective completes or at
-    ``max_cycles``) while closing a window every ``window`` cycles plus
-    a final partial window at completion.
+    Returns ``(WorkloadResult, WindowSeries)``.  The run is
+    :meth:`~repro.flitsim.engine.SimulatorCore.run_workload` exactly
+    (measured from cycle 0, exits when the collective completes or at
+    ``max_cycles``), closing a window every ``window`` cycles plus a
+    final partial window at completion.
     """
-    if sim._wl is None:
-        raise RuntimeError(
-            "no workload attached; pass workload= at construction"
-        )
-    from repro.workloads.result import build_workload_result
-
-    probe = _make_probe(sim)
-    if sim._fault is not None:
-        sim._fault.begin_run(sim.policy)
-    probe.begin()
-    sim._measuring = True
-    state = sim._wl
-    start = sim.now
-    col = TimeSeriesCollector(window, top_links=top_links, start_cycle=start)
-    col.prime(
-        sim._stat.injected_flits,
-        sim._stat.ejected_flits,
-        _dropped(sim),
-        len(sim._stat.latencies),
-    )
-    marks_seen = len(sim._fault.marks) if sim._fault is not None else 0
-    i = 0
-    while not state.done and sim.now < max_cycles:
-        sim.step()
-        if i % sample_every == 0:
-            col.occupancy_sample(probe.occupancy_total())
-        i += 1
-        if i % window == 0:
-            marks_seen = _close_window(sim, col, probe, i, start, marks_seen)
-    if i % window != 0 and i > 0:
-        marks_seen = _close_window(sim, col, probe, i, start, marks_seen)
-    sim._stat.cycles = sim.now
-    sim._measuring = False
-    probe.end()
-    sim._stat.finalize()
-    if sim._fault is not None:
-        sim.fault_result = sim._fault.build_result(
-            sim._stat, series=col.series
-        )
-    sim.workload_result = build_workload_result(state, sim._stat, sim.topo)
-    return sim.workload_result, col.series
+    probe = _SeriesProbe(sim, window, sample_every, top_links)
+    return sim._run(max_cycles=max_cycles, probe=probe), probe.series

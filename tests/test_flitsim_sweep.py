@@ -47,18 +47,15 @@ class TestSweep:
         assert 0.1 <= sat <= 1.0
 
     def test_efficiency_parameter_deprecated(self, sweep):
-        from repro.flitsim.sweep import saturation_load
-
-        with pytest.warns(DeprecationWarning):
-            deprecated = saturation_load(sweep.points, efficiency=0.95)
-        with pytest.warns(DeprecationWarning):
-            assert sweep.saturation_load(efficiency=0.95) == deprecated
-        # never affected the result, and not passing it never warns
+        # The deprecated ``efficiency=`` parameter is gone; a plain call
+        # never warns, on the function or the sweep method.
         import warnings
+
+        from repro.flitsim.sweep import saturation_load
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert saturation_load(sweep.points) == deprecated
+            assert saturation_load(sweep.points) == sweep.saturation_load()
 
     def test_rows(self, sweep):
         rows = sweep.rows()

@@ -143,3 +143,47 @@ def test_run_with_telemetry_finalizes_flat_result(pf, tables):
 def test_rejects_unknown_engine():
     with pytest.raises(TypeError):
         run_with_telemetry(object())
+
+
+FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
+
+
+def engine_variants():
+    """(label, context factory, engine class) for all three cycle paths."""
+    return [("reference", contextlib.nullcontext, NetworkSimulator)] + [
+        (label, ctx, FlatSimulator) for label, ctx, _ in flat_variants()
+    ]
+
+
+@pytest.mark.parametrize("label,ctx,cls", engine_variants(),
+                         ids=[v[0] for v in engine_variants()])
+def test_faulted_telemetry_run_matches_plain_run(pf, tables, label, ctx, cls):
+    # run_with_telemetry is run(warmup, measure, drain=0) plus probes:
+    # it parks the policy via begin_run and sets fault_result.
+    with ctx():
+        instrumented = build(pf, tables, cls, "ugal-pf", load=0.4,
+                             fault_spec=FAULT_SPEC)
+        twin = build(pf, tables, cls, "ugal-pf", load=0.4,
+                     fault_spec=FAULT_SPEC)
+    res, _ = run_with_telemetry(instrumented, **WINDOW)
+    plain = twin.run(WINDOW["warmup"], WINDOW["measure"], drain=0)
+    assert instrumented.fault_result is not None, label
+    assert instrumented.fault_result.summary() == twin.fault_result.summary()
+    assert_results_identical(plain, res)
+
+
+def test_simulate_point_link_telemetry_on_reference(pf, tables):
+    # Both engines carry the link counter, so the reference engine's
+    # cell reports the same per-link map as the flat engine's.
+    from repro.experiments.runner import simulate_point
+
+    cell = dict(warmup=120, measure=240, drain=80, seed=7,
+                link_telemetry=True)
+    flows = {}
+    for engine in ("reference", "flat"):
+        policy = POLICIES.create("ugal-pf", tables)
+        res = simulate_point(pf, policy, UniformTraffic(pf), 0.5,
+                             engine=engine, **cell)
+        flows[engine] = res.link_flits
+    assert flows["reference"], "a loaded run carries flits"
+    assert flows["reference"] == flows["flat"]
