@@ -28,11 +28,9 @@ def main() -> dict:
         )
     for name, entry in doc.get("workloads", {}).items():
         speedup = entry.get("speedup_flat_over_reference")
-        kernel = entry.get("speedup_kernel_over_numpy")
         print(
             f"{name:28s} completion {entry['completion_cycles']:6d} cyc"
             + (f"   speedup {speedup:.2f}x" if speedup else "")
-            + (f"   kernel {kernel:.2f}x" if kernel else "")
         )
     for name, entry in doc.get("construction", {}).items():
         rt = entry["routing_tables"]

@@ -17,7 +17,6 @@ importable directly.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import platform
 import time
@@ -27,7 +26,7 @@ import numpy as np
 from repro import obs
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
 from repro.experiments.runner import auto_sim_config
-from repro.flitsim._kernel import load_kernel, numpy_fallback
+from repro.flitsim._kernel import load_kernel
 from repro.flitsim.engine import make_simulator
 
 __all__ = [
@@ -125,15 +124,15 @@ SCALE_CELLS = {
 }
 
 #: Engines timed on the scale cells (no reference at these sizes).
-SCALE_ENGINES = ("flat-numpy", "flat")
+SCALE_ENGINES = ("flat",)
 
 #: The canonical closed-loop cells: collective completion time is the
 #: workload engine's headline number (the paper-adjacent metric real
 #: systems are judged on), recorded per engine with the same
 #: flat-over-reference speedup bookkeeping as the open-loop cells.
-#: The ``wk01`` cell is the kernel-path headline: min routing keeps the
-#: Python share (batched route selection) small, so its
-#: kernel-over-numpy speedup tracks the C cycle kernel itself.
+#: The ``wk01`` cell is the kernel headline: min routing keeps the
+#: Python share (batched route selection) small, so its flat throughput
+#: tracks the C cycle kernel itself.
 WORKLOAD_CELLS = {
     "allreduce_ring_pf_q7": dict(
         topology="polarfly:conc=2,q=7", policy="ugal-pf",
@@ -164,14 +163,8 @@ FAULT_CELLS = {
     ),
 }
 
-#: Engines benchmarked on workload/fault cells.  ``flat-numpy`` is the
-#: flat engine with the C kernel disabled for the construction (see
-#: :func:`~repro.flitsim._kernel.numpy_fallback`) — recording it next
-#: to ``flat`` turns every closed-loop/fault cell into a
-#: kernel-vs-numpy measurement.  Dropped automatically (with a notice)
-#: when no kernel is available, since both names would time the same
-#: code.
-CLOSED_LOOP_ENGINES = ("reference", "flat-numpy", "flat")
+#: Engines benchmarked on workload/fault cells.
+CLOSED_LOOP_ENGINES = ("reference", "flat")
 
 #: CI gate for the sweep scheduler: the crash-resilient as-completed
 #: dispatcher may cost at most this factor over a bare ``pool.map`` of
@@ -190,30 +183,12 @@ OBS_OVERHEAD_MAX = 1.03
 TS_OVERHEAD_MAX = 1.05
 
 
-def _engine_ctx(engine: str):
-    """(real engine name, construction context) for one engine label."""
-    if engine == "flat-numpy":
-        return "flat", numpy_fallback()
-    return engine, contextlib.nullcontext()
-
-
-def _resolve_engines(engines) -> tuple:
-    """Drop ``flat-numpy`` when the kernel is unavailable anyway."""
-    if "flat-numpy" in engines and load_kernel() is None:
-        return tuple(e for e in engines if e != "flat-numpy")
-    return tuple(engines)
-
-
 def _add_speedups(result: dict) -> None:
     """Attach the derived speedup ratios for one cell's engine dict."""
     eng = result["engines"]
     if "reference" in eng and "flat" in eng:
         result["speedup_flat_over_reference"] = (
             eng["flat"]["cycles_per_sec"] / eng["reference"]["cycles_per_sec"]
-        )
-    if "flat-numpy" in eng and "flat" in eng:
-        result["speedup_kernel_over_numpy"] = (
-            eng["flat"]["cycles_per_sec"] / eng["flat-numpy"]["cycles_per_sec"]
         )
 
 
@@ -262,13 +237,11 @@ def bench_cell(
     cycles = warmup + measure
     result: dict = {"cell": dict(cell), "cycles": cycles, "engines": {}}
     simulate_s = 0.0
-    for engine in _resolve_engines(engines):
-        real, ctx = _engine_ctx(engine)
-        with ctx:
-            sim = make_simulator(
-                topo, policy, traffic, cell["load"], config=config,
-                seed=seed, engine=real,
-            )
+    for engine in engines:
+        sim = make_simulator(
+            topo, policy, traffic, cell["load"], config=config,
+            seed=seed, engine=engine,
+        )
         with obs.span("bench.phase", phase="simulate", engine=engine):
             start = time.perf_counter()
             for _ in range(cycles):
@@ -310,15 +283,13 @@ def bench_workload_cell(
     workload = WORKLOADS.create(cell["workload"], topo)
     config = auto_sim_config(policy)
     result: dict = {"cell": dict(cell), "engines": {}}
-    for engine in _resolve_engines(engines):
-        real, ctx = _engine_ctx(engine)
-        with ctx:
-            start = time.perf_counter()
-            res = simulate_workload(
-                topo, policy, workload, config=config, max_cycles=max_cycles,
-                seed=seed, engine=real,
-            )
-            wall = time.perf_counter() - start
+    for engine in engines:
+        start = time.perf_counter()
+        res = simulate_workload(
+            topo, policy, workload, config=config, max_cycles=max_cycles,
+            seed=seed, engine=engine,
+        )
+        wall = time.perf_counter() - start
         result["engines"][engine] = {
             "wall_s": wall,
             "cycles_per_sec": res.cycles / wall if wall else float("inf"),
@@ -365,18 +336,16 @@ def bench_fault_cell(
     traffic = TRAFFICS.create(cell["traffic"], topo)
     cycles = warmup + measure
     result: dict = {"cell": dict(cell), "cycles": cycles, "engines": {}}
-    for engine in _resolve_engines(engines):
+    for engine in engines:
         # Fault state (and the policy it pins) is single-run: rebuild.
         timeline = FAULTS.create(cell["faults"], topo)
         policy = POLICIES.create(cell["policy"], tables)
         prepare_fault_policy(policy, timeline, topo)
-        real, ctx = _engine_ctx(engine)
-        with ctx:
-            sim = make_simulator(
-                topo, policy, traffic, cell["load"],
-                config=auto_sim_config(policy), seed=seed, engine=real,
-                faults=timeline,
-            )
+        sim = make_simulator(
+            topo, policy, traffic, cell["load"],
+            config=auto_sim_config(policy), seed=seed, engine=engine,
+            faults=timeline,
+        )
         start = time.perf_counter()
         for _ in range(cycles):
             sim.step()
@@ -862,14 +831,12 @@ def run_scale_benchmarks(
 
     Flat-engine-only open-loop cells on the sparse-tier fabrics (no
     reference engine at these sizes; bit-identity is pinned on the small
-    golden suites instead).  Records the kernel-over-numpy speedup per
-    cell when a compiler is available.
+    golden suites instead).
     """
     cells = SCALE_CELLS if cells is None else cells
     return {
         name: bench_cell(
-            cell, warmup=warmup, measure=measure, seed=seed,
-            engines=_resolve_engines(engines) or ("flat",),
+            cell, warmup=warmup, measure=measure, seed=seed, engines=engines
         )
         for name, cell in cells.items()
     }
@@ -904,8 +871,6 @@ def run_benchmarks(
             cell, warmup=warmup, measure=measure, seed=seed, engines=engines
         )
     if workloads:
-        # Closed-loop/fault sections time three engines (reference,
-        # flat-numpy, flat) so kernel-vs-numpy is recorded per cell.
         doc["workloads"] = run_workload_benchmarks(seed=seed)
     if faults:
         doc["faults"] = run_fault_benchmarks(

@@ -7,7 +7,8 @@ producing the latency/throughput curves of Figures 8-11.
 Two result-equivalent engines implement the cycle protocol (see
 :mod:`repro.flitsim.engine`): the struct-of-arrays
 :class:`~repro.flitsim.flatcore.FlatSimulator` production core (default;
-optional C kernel) and the readable
+its cycle is a C kernel, so without cffi and a C compiler the reference
+engine runs instead) and the readable
 :class:`~repro.flitsim.reference.NetworkSimulator` oracle
 (``REPRO_SIM_ENGINE=reference``).
 """

@@ -1,11 +1,12 @@
-"""Optional C cycle kernel for the struct-of-arrays engine.
+"""C cycle kernel of the struct-of-arrays engine.
 
 The flat engine's per-cycle work (feed, arbitration, credit flow,
-forwarding) is a few hundred tiny array operations; at small network
-sizes the numpy dispatch overhead dominates.  This module compiles the
-same cycle protocol (see :mod:`repro.flitsim.engine`) as one C pass over
-the very same flat int64 arrays, via :mod:`cffi` — no new dependencies,
-no extension to build at install time.
+forwarding) touches a handful of entries per queued flit, which numpy
+would spread over a few hundred tiny array operations per cycle.  This
+module compiles the cycle protocol (see :mod:`repro.flitsim.engine`) as
+one C pass over the flat int64 arrays of
+:class:`~repro.flitsim.flatcore.FlatSimulator`, via :mod:`cffi` — no
+extension to build at install time.
 
 The kernel is **universal**: it executes the full cycle protocol in
 every mode, not just open loop.
@@ -24,19 +25,16 @@ every mode, not just open loop.
   drop/credit reporting: head flits whose first hop is dead drop in
   endpoint order without consuming the injection credit, and granted
   flits whose next output is dead evaporate on the wire in grant order
-  without consuming the upstream credit — bit-identical to the numpy
-  path and the reference engine.  Epoch-boundary table swaps and
-  event-time queue drops stay in Python (they are rare); they mutate
-  the very arrays the kernel is bound to, so no re-binding is needed.
+  without consuming the upstream credit — bit-identical to the
+  reference engine.  Epoch-boundary table swaps and event-time queue
+  drops stay in Python (they are rare); they mutate the very arrays
+  the kernel is bound to, so no re-binding is needed.
 
 * Loading is best-effort: no cffi, no C compiler, or any compile error
-  yields ``None`` (with a one-line stderr diagnostic) and
-  :class:`~repro.flitsim.flatcore.FlatSimulator` falls back to its
-  pure-numpy path (bit-identical results either way — the golden
-  equivalence tests run both).
-* ``REPRO_FLAT_KERNEL=0`` disables the kernel explicitly; the setting
-  is re-read on every :func:`load_kernel` call, so tests and benchmarks
-  can toggle the cycle path per construction without reloading.
+  yields ``None``.  The flat engine has no other cycle path, so
+  :func:`~repro.flitsim.engine.make_simulator` then builds the
+  reference engine instead (with a one-line stderr diagnostic), and a
+  :class:`~repro.flitsim.flatcore.FlatSimulator` built directly raises.
 * Compiled modules are cached under ``$REPRO_KERNEL_CACHE`` (default
   ``~/.cache/repro-flitsim``) keyed by a hash of the C source, so the
   compiler runs once per source revision, not once per process — test
@@ -45,12 +43,14 @@ every mode, not just open loop.
 The C code mirrors the *reference* engine's decision loop (routers
 ascending, link outputs then ejection, circular round-robin scan,
 decide-all-then-apply) — the simplest shape to audit against
-``reference.py`` side by side.
+``reference.py`` side by side.  The decide loop skips every
+(router, output) row whose ``backlog`` counter is zero; the counter
+equals the row's summed VOQ counts (``tests/test_flitsim_invariants.py``
+checks this after every cycle), so a skipped row has no candidate.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib.util
 import os
@@ -58,7 +58,7 @@ import shutil
 import sys
 import tempfile
 
-__all__ = ["load_kernel", "kernel_enabled", "numpy_fallback"]
+__all__ = ["load_kernel"]
 
 _STRUCT = """
 typedef struct {
@@ -241,6 +241,11 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
         for (int64_t oi = 0; oi <= d; oi++) {
             int64_t out = (oi == d) ? OE : oi;
             int64_t row = r * O + out;
+            /* backlog[row] counts the flits in every VOQ of this row, so
+             * a zero means no input has a candidate: no grant and no rr
+             * update to miss. */
+            if (st->backlog[row] == 0)
+                continue;
             int64_t limit = 1;
             if (out == OE && st->conc[r] > 1)
                 limit = st->conc[r];
@@ -354,53 +359,31 @@ int64_t kroute(SimState *st, int64_t now, int64_t *n_ejected)
 }
 """
 
-_ENV = "REPRO_FLAT_KERNEL"
 _CACHE_ENV = "REPRO_KERNEL_CACHE"
 
 _cached = False
 _module = None
-_diagnosed: set = set()
+#: why the last :func:`load_kernel` came back empty-handed
+_reason = None
+_diagnosed = False
 
 
-def kernel_enabled() -> bool:
-    """Whether the environment allows using the C kernel."""
-    return os.environ.get(_ENV, "1") not in ("0", "off", "no")
+def _diagnose() -> None:
+    """One-line stderr note, once per process, that the kernel is missing.
 
-
-def _diagnose(reason: str) -> None:
-    """One-line stderr note the first time a fallback cause is hit.
-
-    Keyed by reason so an explicit ``REPRO_FLAT_KERNEL=0`` and a missing
-    compiler each announce themselves exactly once per process — the
-    numpy path is bit-identical, but silently losing ~an order of
-    magnitude of speed is worth a line.
+    Called where the default engine falls back; results are
+    bit-identical, but silently losing the flat engine's speed is worth
+    a line.
     """
-    if reason not in _diagnosed:
-        _diagnosed.add(reason)
+    global _diagnosed
+    if not _diagnosed:
+        _diagnosed = True
+        why = f" ({_reason})" if _reason else ""
         print(
-            f"repro.flitsim: C cycle kernel unavailable ({reason}); "
-            "using the numpy cycle path",
+            f"repro.flitsim: C cycle kernel unavailable{why}; "
+            "using the reference engine",
             file=sys.stderr,
         )
-
-
-@contextlib.contextmanager
-def numpy_fallback():
-    """Force the numpy cycle path for simulators built inside the block.
-
-    Sets ``REPRO_FLAT_KERNEL=0`` for the duration; :func:`load_kernel`
-    re-reads the toggle on every call, so the compiled module stays
-    cached and simulators built outside the block are unaffected.
-    """
-    old = os.environ.get(_ENV)
-    os.environ[_ENV] = "0"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(_ENV, None)
-        else:
-            os.environ[_ENV] = old
 
 
 def _cache_dir() -> str:
@@ -438,17 +421,12 @@ def _build(cache: str, name: str) -> "str | None":
 def load_kernel():
     """The compiled kernel module (``.ffi``/``.lib``), or ``None``.
 
-    ``REPRO_FLAT_KERNEL`` is re-read on every call (so the cycle path
-    can be toggled per simulator construction — see
-    :func:`numpy_fallback`); the build itself is attempted once per
-    process and memoized.  Failures of any kind (no cffi, no compiler)
-    degrade to ``None`` with a one-line diagnostic — the numpy path is
-    always available and bit-identical.
+    The build is attempted once per process and memoized.  Failures of
+    any kind (no cffi, no compiler) yield ``None`` and record the cause
+    for :func:`_diagnose`; :func:`~repro.flitsim.engine.make_simulator`
+    then runs the reference engine in place of the flat one.
     """
-    global _cached, _module
-    if not kernel_enabled():
-        _diagnose(f"disabled via {_ENV}={os.environ.get(_ENV)}")
-        return None
+    global _cached, _module, _reason
     if _cached:
         return _module
     _cached = True
@@ -465,9 +443,7 @@ def load_kernel():
         spec.loader.exec_module(module)
         _module = module
     except ImportError:
-        _module = None
-        _diagnose("cffi not installed")
+        _reason = "cffi not installed"
     except Exception as exc:
-        _module = None
-        _diagnose(f"build failed: {type(exc).__name__}: {exc}")
+        _reason = f"build failed: {type(exc).__name__}: {exc}"
     return _module

@@ -5,8 +5,8 @@ Two interchangeable engines implement the same cycle-level protocol:
 * :class:`~repro.flitsim.reference.NetworkSimulator` — the readable
   dict-of-deques reference implementation;
 * :class:`~repro.flitsim.flatcore.FlatSimulator` — the struct-of-arrays
-  production engine (preallocated numpy flit pool, flat ring/linked VOQs,
-  dense credit arrays, vectorized injection).
+  production engine (preallocated numpy flit pool, flat linked VOQs,
+  dense credit arrays, vectorized injection, and a compiled C cycle).
 
 The protocol is defined precisely enough that both engines produce
 **bit-identical** :class:`SimResult`\\ s for the same seed (the golden
@@ -85,12 +85,13 @@ The golden rule extends: flat and reference engines produce bit-identical
 results per seed for every fault timeline, including drop counts,
 retransmit order, and post-repair routes.
 
-**C cycle kernel**: when cffi and a C compiler are available the flat
-engine executes steps 2-3 — including fault-mode wire/feed drops and the
-tail-completion reporting workload mode needs — in a compiled kernel for
-*every* mode (open-loop, workload, fault, and combined), with Python
-keeping only epoch deltas (step 0) and dependency/retransmit bookkeeping.
-Results stay bit-identical either way; see :mod:`repro.flitsim._kernel`.
+**C cycle kernel**: the flat engine executes steps 2-3 — including
+fault-mode wire/feed drops and the tail-completion reporting workload
+mode needs — in a compiled kernel for *every* mode (open-loop, workload,
+fault, and combined), with Python keeping injection, epoch deltas
+(step 0) and dependency/retransmit bookkeeping; see
+:mod:`repro.flitsim._kernel`.  Without cffi or a C compiler there is no
+flat engine: :func:`make_simulator` builds the reference engine instead.
 """
 
 from __future__ import annotations
@@ -289,9 +290,9 @@ class SimulatorCore:
 
         Flat ``int64`` counts indexed ``router * Dp + out_port``.  A
         link grant counts during the measure window only, *before* any
-        fault doom filtering, at the same point in every engine and
-        cycle path, so the counts agree bit-exactly.  Attaching never
-        changes simulation results.
+        fault doom filtering, at the same point in both engines, so the
+        counts agree bit-exactly.  Attaching never changes simulation
+        results.
         """
         if self._ltel is None:
             self._ltel = np.zeros(self._link_nbr.size, dtype=np.int64)
@@ -434,7 +435,9 @@ def make_simulator(
 
     ``engine`` of ``None`` reads ``$REPRO_SIM_ENGINE`` (default
     ``"flat"``); set ``REPRO_SIM_ENGINE=reference`` to fall back to the
-    readable engine for debugging.  Passing a
+    readable engine for debugging.  ``"flat"`` needs the C cycle kernel;
+    when it cannot load, the reference engine (bit-identical results)
+    is built instead, with a one-line stderr note.  Passing a
     :class:`~repro.workloads.Workload` switches the simulator to the
     closed-loop protocol (``traffic`` may then be ``None`` and ``load``
     is ignored — drive it with :meth:`SimulatorCore.run_workload`).
@@ -450,6 +453,13 @@ def make_simulator(
             f"unknown simulation engine {name!r}; choose from "
             + ", ".join(sorted(classes))
         )
+    if name == "flat":
+        # Imported lazily, like the engine classes.
+        from repro.flitsim import _kernel, flatcore
+
+        if flatcore.load_kernel() is None:
+            _kernel._diagnose()
+            name = "reference"
     if config is None:
         config = SimConfig()
     return classes[name](

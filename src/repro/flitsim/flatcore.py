@@ -1,9 +1,10 @@
 """Struct-of-arrays flit engine: the production simulator core.
 
 Implements the cycle protocol of :mod:`repro.flitsim.engine` with flat
-numpy state instead of per-flit Python objects, so a cycle is a handful
-of vectorized array passes rather than an interpreter loop over every
-queued flit:
+numpy state instead of per-flit Python objects.  Python keeps the parts
+that draw random numbers or consult routing (injection, fault epoch
+deltas, workload bookkeeping); feed and the router phase run as one C
+pass of :mod:`repro.flitsim._kernel` over the very same arrays:
 
 * **Flit pool** — flits are rows of preallocated int arrays (packet id,
   flit sequence number, hop index, ready cycle, next-pointer).  A free
@@ -16,12 +17,12 @@ queued flit:
   column), giving O(1) enqueue, dequeue, and occupancy checks.
 * **Credits** — one ``(router, out_port, vc)`` int array; injection
   credits one array over endpoints.
-* **Arbitration** — per (router, output) round-robin pointers; each
-  cycle the eligible VOQ heads are scored by circular distance from the
-  pointer and winners fall out of one ``argmin``/``argsort`` per cycle.
+* **Arbitration** — per (router, output) round-robin pointers; the
+  kernel scans input ports circularly from the pointer and skips every
+  output whose backlog counter is zero.
 * **Injection** — one Bernoulli draw per cycle across all endpoints and
   one batched destination draw (``TrafficPattern.dest_routers``), then
-  the policy's batched ``select_routes``.
+  the policy's batched ``select_routes``; the kernel chains the flits.
 * **Congestion view** — ``output_occupancy`` is an O(1) read of the
   incrementally maintained per-output backlog counters plus credit debt.
 
@@ -31,8 +32,12 @@ seed's dense O(N^2) matrix) is memoized per topology object in
 topology (the runner's per-process topology memo keeps the object alive)
 pay its construction once.
 
-Results are bit-identical to :class:`repro.flitsim.reference.NetworkSimulator`
-for the same seed — pinned by ``tests/test_flitsim_equivalence.py``.
+The engine has no cycle path without the kernel: a
+:class:`FlatSimulator` built without one raises, and
+:func:`~repro.flitsim.engine.make_simulator` builds the reference engine
+instead.  Results are bit-identical to
+:class:`repro.flitsim.reference.NetworkSimulator` for the same seed —
+pinned by ``tests/test_flitsim_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -191,6 +196,13 @@ class FlatSimulator(SimulatorCore):
         workload=None,
         faults=None,
     ):
+        self._kernel = load_kernel()
+        if self._kernel is None:
+            raise RuntimeError(
+                "FlatSimulator needs the C cycle kernel (cffi and a C "
+                "compiler); make_simulator() uses the reference engine "
+                "when it is missing"
+            )
         self.topo = topo
         self.policy = policy
         self.traffic = traffic
@@ -205,7 +217,7 @@ class FlatSimulator(SimulatorCore):
 
         fab = fabric_for(topo)
         self.fab = fab
-        n, I, O = fab.n, fab.I, fab.O
+        n, O = fab.n, fab.O
         V = config.num_vcs
 
         # Credit state: link outputs carry vc_depth per hop class;
@@ -223,14 +235,6 @@ class FlatSimulator(SimulatorCore):
         self.backlog = np.zeros(n * O, dtype=np.int64)
         #: round-robin pointers per (router, out)
         self.rr = np.zeros(n * O, dtype=np.int64)
-        # Static per-(router, out)-row arbitration tables: grant limit
-        # (1 for links, max(1, concentration) for ejection) and the
-        # router's circular input-port count.
-        row_router = np.repeat(np.arange(n, dtype=np.int64), O)
-        self._row_limit = np.ones(n * O, dtype=np.int64)
-        self._row_limit[fab.OE :: O] = np.maximum(fab.conc, 1)
-        self._row_ports = fab.P_arr[row_router]
-        self._IO = fab.I * O
 
         # Flit pool + free list.  The stack top lives in a one-element
         # array so the C kernel can mutate it in place.
@@ -274,11 +278,9 @@ class FlatSimulator(SimulatorCore):
         self._stat = SimResult(load, 0, fab.E)
 
         # Layout of the optional per-link flit counter; the counter
-        # stays None until :meth:`attach_link_telemetry`, so the numpy
-        # route phase pays one identity check per cycle and the C kernel
-        # a NULL pointer it never follows.
+        # stays None until :meth:`attach_link_telemetry`, so the kernel
+        # sees a NULL pointer it never follows.
         self._link_nbr = fab.nbr_mat
-        self._ltel_dp = max(fab.D, 1)
         self._ltel_buf = None
 
         # Fault-mode state: per-(router, output-column) death mask and
@@ -289,29 +291,26 @@ class FlatSimulator(SimulatorCore):
             self.pkt_live = np.zeros(self.pkt_cap, dtype=np.int64)
             self.pkt_damaged = np.zeros(self.pkt_cap, dtype=bool)
 
-        # Optional C cycle kernel (same protocol, same arrays) in every
-        # mode — open loop, closed loop, faults, and combined; falls
-        # back to the pure-numpy phases when unavailable.  Workload
+        # The C cycle kernel runs feed and the router phase in every
+        # mode — open loop, closed loop, faults, and combined.  Workload
         # dependency bookkeeping and epoch-boundary fault deltas stay in
         # Python and communicate through the bound arrays and the
         # per-cycle ring buffers (tail_pids, drop_tail_pids).
-        self._kernel = load_kernel()
-        if self._kernel is not None:
-            ffi = self._kernel.ffi
-            # Grants per cycle are bounded by one per (router, link
-            # output) plus the per-router ejection limit (≤ E + n), and
-            # per-cycle drops by the feed slots (≤ E) plus the link
-            # grants — so grant_cap caps both ring buffers.
-            grant_cap = n * O + fab.E
-            self._g_vq = np.empty(grant_cap, dtype=np.int64)
-            self._g_f = np.empty(grant_cap, dtype=np.int64)
-            self._tail_pids = np.empty(max(grant_cap, 1), dtype=np.int64)
-            if self._fault is not None:
-                self._drop_tails = np.empty(max(grant_cap, 1), dtype=np.int64)
-                self._fcnt = np.zeros(2, dtype=np.int64)
-            self._n_ej = ffi.new("int64_t *")
-            self._st = ffi.new("SimState *")
-            self._bind_kernel_state()
+        ffi = self._kernel.ffi
+        # Grants per cycle are bounded by one per (router, link output)
+        # plus the per-router ejection limit (≤ E + n), and per-cycle
+        # drops by the feed slots (≤ E) plus the link grants — so
+        # grant_cap caps both ring buffers.
+        grant_cap = n * O + fab.E
+        self._g_vq = np.empty(grant_cap, dtype=np.int64)
+        self._g_f = np.empty(grant_cap, dtype=np.int64)
+        self._tail_pids = np.empty(max(grant_cap, 1), dtype=np.int64)
+        if self._fault is not None:
+            self._drop_tails = np.empty(max(grant_cap, 1), dtype=np.int64)
+            self._fcnt = np.zeros(2, dtype=np.int64)
+        self._n_ej = ffi.new("int64_t *")
+        self._st = ffi.new("SimState *")
+        self._bind_kernel_state()
 
     # ------------------------------------------------------------------
     # CongestionView protocol
@@ -353,7 +352,7 @@ class FlatSimulator(SimulatorCore):
     def attach_link_telemetry(self) -> "np.ndarray":
         """The shared counter, also bound for the C kernel to increment."""
         ltel = super().attach_link_telemetry()
-        if self._kernel is not None and self._ltel_buf is None:
+        if self._ltel_buf is None:
             self._ltel_buf = self._kernel.ffi.from_buffer("int64_t[]", ltel)
         return ltel
 
@@ -467,15 +466,7 @@ class FlatSimulator(SimulatorCore):
         self.free_stack = stack
         self._free_top[0] = top + extra
         self.pool_cap = cap
-        if self._kernel is not None:
-            self._bind_kernel_state()
-
-    def _alloc(self, k: int) -> np.ndarray:
-        if self.free_top < k:
-            self._grow_pool(k - self.free_top)
-        top = self.free_top - k
-        self._free_top[0] = top
-        return self.free_stack[top : top + k].copy()
+        self._bind_kernel_state()
 
     def _release(self, ids: np.ndarray) -> None:
         top = self.free_top
@@ -517,8 +508,7 @@ class FlatSimulator(SimulatorCore):
         self._pslot_stack = stack
         self._pslot_top[0] = top + extra
         self.pkt_cap = cap
-        if self._kernel is not None:
-            self._bind_kernel_state()
+        self._bind_kernel_state()
 
     def _alloc_pkt_slots(self, k: int) -> np.ndarray:
         if int(self._pslot_top[0]) < k:
@@ -530,14 +520,14 @@ class FlatSimulator(SimulatorCore):
     # ------------------------------------------------------------------
     # Injection (protocol step 1)
     # ------------------------------------------------------------------
-    def _fill_packet_slots(self, srcs, dsts, pkt_mid=None):
-        """Select routes and populate packet slots for a same-cycle batch.
+    def _inject_packets(self, srcs, dsts, eps, pkt_mid=None) -> None:
+        """Route, slot and queue one cycle's new packets.
 
-        The half of injection both modes share: one batched
-        ``select_routes`` call, slot allocation, route-row/metadata
-        fill, and the injected-flit accounting.  Returns ``(slots, k)``;
-        the caller materializes the flit chains (numpy or C kernel) and
-        appends them to source FIFOs.
+        What both injection modes share once sources and destinations
+        are drawn: one batched ``select_routes`` call, slot allocation,
+        route-row/metadata fill, the injected-flit accounting, and the
+        kernel's ``kinject``, which chains each packet's flits onto the
+        source FIFO of its endpoint ``eps[j]`` in order.
         """
         routes = self.policy.select_routes(srcs, dsts, self.rng, congestion=self)
         mat, lens = routes_as_matrix(routes)
@@ -564,30 +554,22 @@ class FlatSimulator(SimulatorCore):
             self.pkt_damaged[slots] = False
         self.pkt_measured[slots] = self._measuring
         self.packets_injected += k
-        if self._measuring:
-            self._stat.injected_flits += k * self.config.packet_size
-        return slots, k
-
-    def _chain_flits(self, slots, k):
-        """Allocate and intra-link the flit rows of ``k`` fresh packets.
-
-        Returns the ``(k, packet_size)`` pool-row matrix, packets in
-        slot order, each packet's flits chained head to tail.
-        """
         ps = self.config.packet_size
-        idx = self._alloc(k * ps).reshape(k, ps)
-        self.pool_pid[idx] = slots[:, None]
-        self.pool_seq[idx] = np.arange(ps, dtype=np.int64)[None, :]
-        self.pool_hop[idx] = 0
-        self.pool_ready[idx] = self.now
-        if ps > 1:
-            self.pool_next[idx[:, :-1]] = idx[:, 1:]
-        self.pool_next[idx[:, -1]] = -1
-        return idx
+        if self._measuring:
+            self._stat.injected_flits += k * ps
+        if self.free_top < k * ps:
+            self._grow_pool(k * ps - self.free_top)
+        ffi = self._kernel.ffi
+        self._kernel.lib.kinject(
+            self._st,
+            self.now,
+            k,
+            ffi.from_buffer("int64_t[]", slots),
+            ffi.from_buffer("int64_t[]", np.ascontiguousarray(eps)),
+        )
 
     def _inject(self) -> None:
-        ps = self.config.packet_size
-        prob = self.load / ps
+        prob = self.load / self.config.packet_size
         if prob <= 0.0:
             return
         rng = self.rng
@@ -611,41 +593,17 @@ class FlatSimulator(SimulatorCore):
                 winners, srcs, dsts = winners[keep], srcs[keep], dsts[keep]
                 if winners.size == 0:
                     return
-        slots, k = self._fill_packet_slots(srcs, dsts)
-
-        if self._kernel is not None:
-            if self.free_top < k * ps:
-                self._grow_pool(k * ps - self.free_top)
-            ffi = self._kernel.ffi
-            self._kernel.lib.kinject(
-                self._st,
-                self.now,
-                k,
-                ffi.from_buffer("int64_t[]", slots),
-                ffi.from_buffer("int64_t[]", winners),
-            )
-            return
-
-        idx = self._chain_flits(slots, k)
-
-        # Append each packet's flit chain to its endpoint FIFO (winners
-        # are distinct endpoints — at most one packet each per cycle).
-        first, last = idx[:, 0], idx[:, -1]
-        tails = self.src_tail[winners]
-        linked = tails >= 0
-        self.pool_next[tails[linked]] = first[linked]
-        self.src_head[winners[~linked]] = first[~linked]
-        self.src_tail[winners] = last
+        self._inject_packets(srcs, dsts, winners)
 
     def _inject_workload(self) -> None:
-        """Closed-loop protocol step 1, vectorized.
+        """Closed-loop protocol step 1.
 
         Drains the ready queue into packets (message-major,
         packet-minor), one batched route selection for the cycle, then
         appends every packet's flit chain to the FIFO of its
-        round-robin-assigned endpoint — handling several packets landing
-        on one endpoint in the same cycle, which Bernoulli injection
-        never produces.
+        round-robin-assigned endpoint; several packets may land on one
+        endpoint in the same cycle, which Bernoulli injection never
+        produces, and keep their injection order there.
         """
         st = self._wl
         ft = self._fault
@@ -667,308 +625,10 @@ class FlatSimulator(SimulatorCore):
             pkt_mid = np.repeat(mids, st.msg_pkts[mids])
         if pkt_mid.size == 0:
             return
-        fab = self.fab
         srcs = st.workload.src[pkt_mid]
         dsts = st.workload.dst[pkt_mid]
-        slots, k = self._fill_packet_slots(srcs, dsts, pkt_mid=pkt_mid)
-        eps = fab.ep_off[srcs] + st.next_endpoints(srcs)
-
-        if self._kernel is not None:
-            # kinject appends sequentially, so several packets landing
-            # on one endpoint keep injection order automatically.
-            ps = self.config.packet_size
-            if self.free_top < k * ps:
-                self._grow_pool(k * ps - self.free_top)
-            ffi = self._kernel.ffi
-            self._kernel.lib.kinject(
-                self._st,
-                self.now,
-                k,
-                ffi.from_buffer("int64_t[]", slots),
-                ffi.from_buffer("int64_t[]", np.ascontiguousarray(eps)),
-            )
-            return
-
-        idx = self._chain_flits(slots, k)
-
-        # FIFO append with possible same-endpoint collisions: group the
-        # packets by endpoint (stable, preserving injection order), link
-        # consecutive chains within a group, then splice each group onto
-        # its endpoint's existing tail.
-        first, last = idx[:, 0], idx[:, -1]
-        order = np.argsort(eps, kind="stable")
-        es, fo, lo = eps[order], first[order], last[order]
-        head = np.empty(k, dtype=bool)
-        head[0] = True
-        np.not_equal(es[1:], es[:-1], out=head[1:])
-        inner = np.flatnonzero(~head)
-        self.pool_next[lo[inner - 1]] = fo[inner]
-        tail = np.empty(k, dtype=bool)
-        tail[-1] = True
-        np.not_equal(es[1:], es[:-1], out=tail[:-1])
-        group_ep = es[head]
-        group_first = fo[head]
-        tails_cur = self.src_tail[group_ep]
-        linked = tails_cur >= 0
-        self.pool_next[tails_cur[linked]] = group_first[linked]
-        self.src_head[group_ep[~linked]] = group_first[~linked]
-        self.src_tail[group_ep] = lo[tail]
-
-    # ------------------------------------------------------------------
-    # Feed (protocol step 2)
-    # ------------------------------------------------------------------
-    def _feed(self) -> None:
-        if self._fault is not None:
-            self._feed_with_faults()
-            return
-        ids = np.flatnonzero((self.src_head >= 0) & (self.ep_credit > 0))
-        if ids.size == 0:
-            return
-        fab = self.fab
-        flits = self.src_head[ids]
-        nxt = self.pool_next[flits]
-        self.src_head[ids] = nxt
-        self.src_tail[ids[nxt < 0]] = -1
-        self.ep_credit[ids] -= 1
-        routers = fab.ep_router[ids]
-        pid = self.pool_pid[flits]
-        out = np.full(ids.size, fab.OE, dtype=np.int64)
-        multi = self.pkt_len[pid] > 1
-        out[multi] = fab.ports_toward(
-            routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
-        )
-        vq = (routers * fab.I + fab.ep_inport[ids]) * fab.O + out
-        self._enqueue(vq, flits, routers, out)
-
-    def _feed_with_faults(self) -> None:
-        """Feed phase when a timeline is attached.
-
-        A head flit whose first hop is dead drops without consuming the
-        injection credit (it never enters the buffer), spending the
-        endpoint's one-flit-per-cycle feed slot; live heads feed as
-        usual.  Drop order is ascending endpoint id — the reference
-        engine's iteration order.
-        """
-        fab = self.fab
-        cand = np.flatnonzero(self.src_head >= 0)
-        if cand.size == 0:
-            return
-        flits = self.src_head[cand]
-        pid = self.pool_pid[flits]
-        routers = fab.ep_router[cand]
-        out = np.full(cand.size, fab.OE, dtype=np.int64)
-        multi = self.pkt_len[pid] > 1
-        out[multi] = fab.ports_toward(
-            routers[multi], self.route_buf[pid[multi] * self.route_stride + 1]
-        )
-        doomed = self.dead_row[routers * fab.O + out]
-        move = doomed | (self.ep_credit[cand] > 0)
-        if not move.any():
-            return
-        ids = cand[move]
-        mflits = flits[move]
-        nxt = self.pool_next[mflits]
-        self.src_head[ids] = nxt
-        self.src_tail[ids[nxt < 0]] = -1
-        dr = np.flatnonzero(doomed[move])
-        if dr.size:
-            self._drop_flit_rows(mflits[dr], pid[move][dr])
-        fd = np.flatnonzero(~doomed[move])
-        if fd.size:
-            ids_f = ids[fd]
-            self.ep_credit[ids_f] -= 1
-            routers_f = routers[move][fd]
-            out_f = out[move][fd]
-            vq = (routers_f * fab.I + fab.ep_inport[ids_f]) * fab.O + out_f
-            self._enqueue(vq, mflits[fd], routers_f, out_f)
-
-    # ------------------------------------------------------------------
-    # Queue plumbing
-    # ------------------------------------------------------------------
-    def _enqueue(self, vq, flits, routers, outs) -> None:
-        """Append ``flits`` to VOQs ``vq`` (distinct per call, by design)."""
-        self.pool_next[flits] = -1
-        empty = self.voq_count[vq] == 0
-        occupied = ~empty
-        self.voq_head[vq[empty]] = flits[empty]
-        self.pool_next[self.voq_tail[vq[occupied]]] = flits[occupied]
-        self.voq_tail[vq] = flits
-        self.voq_count[vq] += 1
-        np.add.at(self.backlog, routers * self.fab.O + outs, 1)
-
-    # ------------------------------------------------------------------
-    # Router phase (protocol step 3): decide synchronously, apply at once
-    # ------------------------------------------------------------------
-    def _route_phase(self) -> None:
-        occ = np.flatnonzero(self.voq_count > 0)
-        if occ.size == 0:
-            return
-        fab = self.fab
-        now = self.now
-        O, I, OE = fab.O, fab.I, fab.OE
-        V = self.config.num_vcs
-
-        # Eligibility of every nonempty VOQ head.
-        heads = self.voq_head[occ]
-        out_c = occ % O
-        ok = self.pool_ready[heads] <= now
-        lnk = ok & (out_c != OE)
-        vq_l = occ[lnk]
-        dvc = np.minimum(self.pool_hop[heads[lnk]], V - 1)
-        ok[lnk] = self.credits[vq_l // self._IO, out_c[lnk], dvc] > 0
-        if not ok.any():
-            return
-        vq_e = occ[ok]
-        head_e = heads[ok]
-        in_e = (vq_e // O) % I
-        rows = (vq_e // self._IO) * O + out_c[ok]
-
-        # One sort decides every grant: candidates ordered by
-        # (router, output, circular distance from the rr pointer).  The
-        # first candidate of each (router, output) group wins; ejection
-        # groups take up to max(1, concentration).  Ejection is the
-        # highest output column, so group order == the reference
-        # engine's decision order (routers ascending, links before
-        # eject) — which is also the latency-recording order.
-        score = (in_e - self.rr[rows]) % self._row_ports[rows]
-        order = np.lexsort((score, rows))
-        row_s = rows[order]
-        in_s = in_e[order]
-        first = np.empty(row_s.size, dtype=bool)
-        first[0] = True
-        np.not_equal(row_s[1:], row_s[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        group = np.cumsum(first) - 1
-        rank = np.arange(row_s.size, dtype=np.int64) - starts[group]
-        take = rank < self._row_limit[row_s]
-
-        row_w = row_s[take]
-        in_w = in_s[take]
-        vq_w = vq_e[order][take]
-        flit = head_e[order][take]
-        r_w = row_w // O
-        out_w = row_w % O
-
-        # Advance each granted group's pointer past its last grant.
-        wg = group[take]
-        last = np.empty(wg.size, dtype=bool)
-        last[-1] = True
-        np.not_equal(wg[1:], wg[:-1], out=last[:-1])
-        row_last = row_w[last]
-        self.rr[row_last] = (in_w[last] + 1) % self._row_ports[row_last]
-
-        # ---- Apply: pop winners, return credits, forward/eject. ----
-        succ = self.pool_next[flit]
-        self.voq_head[vq_w] = succ
-        self.voq_count[vq_w] -= 1
-        self.voq_tail[vq_w[succ < 0]] = -1
-        np.add.at(self.backlog, row_w, -1)
-
-        pid_w = self.pool_pid[flit]
-        hop_w = self.pool_hop[flit]
-        off_w = pid_w * self.route_stride
-        deg_w = fab.deg[r_w]
-
-        # Upstream credit returns (link inputs) / injection credits.
-        from_link = in_w < deg_w
-        li = np.flatnonzero(from_link)
-        if li.size:
-            upstream = self.route_buf[off_w[li] + hop_w[li] - 1]
-            up_port = fab.ports_toward(upstream, r_w[li])
-            vc = np.minimum(hop_w[li] - 1, V - 1)
-            np.add.at(self.credits, (upstream, up_port, vc), 1)
-        ii = np.flatnonzero(~from_link)
-        if ii.size:
-            endpoint = fab.ep_off[r_w[ii]] + in_w[ii] - deg_w[ii]
-            np.add.at(self.ep_credit, endpoint, 1)
-
-        # Forward the link winners one hop.
-        is_ej = out_w == OE
-        fwd = np.flatnonzero(~is_ej)
-        if fwd.size:
-            fl = flit[fwd]
-            r_f, out_f = r_w[fwd], out_w[fwd]
-            if self._measuring:
-                # Count at grant time, before fault doom filtering — the
-                # reference engine's accounting point in ``_forward``.
-                if self._ltel is not None:
-                    np.add.at(self._ltel, r_f * self._ltel_dp + out_f, 1)
-            hop_f = hop_w[fwd]
-            nxt_r = fab.nbr_mat[r_f, out_f]
-            in_next = fab.rev_mat[r_f, out_f]
-            hop2 = hop_f + 1
-            pid_f = pid_w[fwd]
-            pos = off_w[fwd] + np.minimum(hop2 + 1, self.pkt_len[pid_f] - 1)
-            # The non-destination branch is evaluated for every row (as
-            # np.where always did); destination rows get an in-range but
-            # meaningless port that the OE branch discards.
-            out_next = np.where(
-                nxt_r == self.pkt_dst[pid_f],
-                OE,
-                fab.ports_toward(nxt_r, self.route_buf[pos]),
-            )
-            if self._fault is not None:
-                doomed = self.dead_row[nxt_r * O + out_next]
-                if doomed.any():
-                    # Dead output at the next router: drop on the wire,
-                    # in grant order, without consuming the credit.
-                    d = np.flatnonzero(doomed)
-                    self._drop_flit_rows(fl[d], pid_f[d])
-                    keep = np.flatnonzero(~doomed)
-                    fl, r_f, out_f = fl[keep], r_f[keep], out_f[keep]
-                    hop_f, hop2 = hop_f[keep], hop2[keep]
-                    nxt_r, in_next = nxt_r[keep], in_next[keep]
-                    out_next = out_next[keep]
-            if fl.size:
-                np.add.at(
-                    self.credits, (r_f, out_f, np.minimum(hop_f, V - 1)), -1
-                )
-                self.pool_hop[fl] = hop2
-                self.pool_ready[fl] = now + self._hop_latency
-                self._enqueue(
-                    (nxt_r * I + in_next) * O + out_next, fl, nxt_r, out_next
-                )
-
-        # Eject the rest (already in recording order); tail flits
-        # complete their packet.
-        ejs = np.flatnonzero(is_ej)
-        if ejs.size:
-            fe = flit[ejs]
-            if self._measuring:
-                self._stat.ejected_flits += fe.size
-            tails = self.pool_seq[fe] == self.config.packet_size - 1
-            done = pid_w[ejs[tails]]
-            measured = done[self.pkt_measured[done]]
-            if measured.size:
-                self._stat.latencies.extend(
-                    (now - self.pkt_t_created[measured]).tolist()
-                )
-                self._stat.hop_counts.extend((self.pkt_len[measured] - 1).tolist())
-            self._release(fe)
-            if done.size and self._wl is not None:
-                # Closed loop: report completed packets' messages and
-                # their wire flit-hops before recycling slots.
-                self._wl.note_tails(
-                    self.pkt_msg[done],
-                    int((self.pkt_len[done] - 1).sum())
-                    * self.config.packet_size,
-                )
-            if self._fault is not None:
-                # A tail that ejects from a damaged packet means body
-                # flits were lost to a since-revived link: delivered,
-                # but incomplete.
-                dmg = int(self.pkt_damaged[done].sum())
-                if dmg:
-                    self._fault.note_damaged_deliveries(dmg)
-                # Drops can retire a packet out of tail order, so slot
-                # recycling counts outstanding flits instead.
-                self._retire_packets(pid_w[ejs])
-            elif done.size:
-                # The tail flit is the last of its packet out of the
-                # network: recycle the packet slot.
-                top = int(self._pslot_top[0])
-                self._pslot_stack[top : top + done.size] = done
-                self._pslot_top[0] = top + done.size
+        eps = self.fab.ep_off[srcs] + st.next_endpoints(srcs)
+        self._inject_packets(srcs, dsts, eps, pkt_mid=pkt_mid)
 
     # ------------------------------------------------------------------
     # Fault phase (protocol step 0): masks, drops, and route repair
@@ -1080,7 +740,7 @@ class FlatSimulator(SimulatorCore):
         buffer (grant order — the latency-recording order) and, in fault
         mode, drops through ``drop_tail_pids``/``fcnt`` (drop order:
         feed drops endpoint-ascending, then wire kills in grant order);
-        the notification sequence below mirrors the numpy phases —
+        the notifications below follow the reference engine's order —
         flit/tail drops first, then workload completions, then damaged
         deliveries.
         """
@@ -1134,11 +794,7 @@ class FlatSimulator(SimulatorCore):
             self._inject_workload()
         else:
             self._inject()
-        if self._kernel is not None:
-            self._kernel_cycle()
-        else:
-            self._feed()
-            self._route_phase()
+        self._kernel_cycle()
         if self._wl is not None:
             self._wl.commit(self.now)
         self.now += 1

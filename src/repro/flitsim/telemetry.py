@@ -12,12 +12,11 @@ the engine's one run loop (``SimulatorCore._run``), which calls it
 during the measure phase.  Both engines keep one cumulative per-link
 grant counter (``attach_link_telemetry()`` / ``link_flit_counts()``):
 a link grant counts during the measure window only, before any fault
-doom filtering, in the reference engine's forward step, the flat
-engine's numpy route phase and the C kernel alike.  A probe reads link
-counts as deltas between snapshots of that counter and samples
-credit-derived occupancy through ``link_occupancy()``.  Per-link
-counts, occupancy samples and window records therefore agree
-bit-exactly across the three cycle paths (pinned by
+doom filtering, in the reference engine's forward step and the flat
+engine's C kernel alike.  A probe reads link counts as deltas between
+snapshots of that counter and samples credit-derived occupancy through
+``link_occupancy()``.  Per-link counts, occupancy samples and window
+records therefore agree bit-exactly across the two engines (pinned by
 ``tests/test_telemetry_flat.py`` and ``tests/test_timeseries.py``),
 which makes telemetry usable at scales where the reference engine is
 too slow.
@@ -245,8 +244,7 @@ def run_with_timeseries(
     injected/ejected/dropped deltas, latency percentiles, occupancy
     samples every ``sample_every`` cycles, per-link flit counts (top
     ``top_links`` by heat plus the total), and fault-event markers.
-    Window records are bit-identical across the reference engine, the
-    numpy flat path, and the C kernel.  Latencies recorded during the
+    Window records are bit-identical across the two engines.  Latencies recorded during the
     drain (measured packets still in flight) intentionally fall outside
     all windows.  When faults are attached, the simulator's
     ``fault_result`` gains series-derived recovery analytics.

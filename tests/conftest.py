@@ -9,7 +9,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core import PolarFly, ClusterLayout
+from repro.flitsim._kernel import load_kernel
 from repro.routing import RoutingTables
+
+
+@pytest.fixture
+def flat_kernel():
+    """Skip unless the C cycle kernel loads.
+
+    Requested by tests that build ``FlatSimulator`` directly: its cycle
+    is the kernel, so without cffi and a C compiler it cannot be built
+    (``make_simulator`` runs the reference engine instead).
+    """
+    if load_kernel() is None:
+        pytest.skip("C cycle kernel unavailable (needs cffi and a C compiler)")
 
 
 @pytest.fixture(scope="session")

@@ -3,14 +3,11 @@
 PR 5 made closed-loop workloads and dynamic fault timelines composable,
 but the composition itself was untested.  The contract mirrors the
 single-axis suites: for the same seed on PolarFly q=7, the reference
-engine and the flat engine on **both** cycle paths (pure numpy and the
-C kernel, when a compiler is present) must produce bit-identical
+engine and the flat engine (its C kernel) must produce bit-identical
 :class:`~repro.workloads.WorkloadResult`\\ s *and*
 :class:`~repro.faults.FaultResult`\\ s — message completion order, drop
 and retransmit accounting, damaged deliveries, the lot.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from repro.experiments import FAULTS, POLICIES, WORKLOADS
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing.tables import RoutingTables
 
 #: (workload, fault timeline, policy) — every registered fault
@@ -57,14 +53,6 @@ def pf():
 @pytest.fixture(scope="module")
 def tables(pf):
     return RoutingTables(pf)
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 
 def build(pf, tables, wspec, fault_spec, policy_spec, cls, seed):
@@ -118,27 +106,23 @@ def test_combos_cover_every_registered_fault_generator():
     COMBOS,
     ids=[f"{w.split(':')[0]}-{f.split(':')[0]}-{p}" for w, f, p in COMBOS],
 )
-def test_all_engines_agree(pf, tables, wspec, fault_spec, policy_spec):
+def test_all_engines_agree(
+    pf, tables, wspec, fault_spec, policy_spec, flat_kernel
+):
     sim = build(pf, tables, wspec, fault_spec, policy_spec,
                 NetworkSimulator, seed=3)
     ref = sim.run_workload(max_cycles=60_000)
     fref = sim.fault_result
     assert fref.applied_events > 0, "timeline must actually fire in-window"
-    for label, ctx, expect_kernel in flat_variants():
-        with ctx():
-            fsim = build(pf, tables, wspec, fault_spec, policy_spec,
-                         FlatSimulator, seed=3)
-        assert (fsim._kernel is not None) == expect_kernel, (
-            f"{label} must {'use' if expect_kernel else 'skip'} the C kernel"
-        )
-        res = fsim.run_workload(max_cycles=60_000)
-        assert_workload_identical(ref, res)
-        assert_fault_identical(fref, fsim.fault_result)
+    fsim = build(pf, tables, wspec, fault_spec, policy_spec,
+                 FlatSimulator, seed=3)
+    res = fsim.run_workload(max_cycles=60_000)
+    assert_workload_identical(ref, res)
+    assert_fault_identical(fref, fsim.fault_result)
 
 
-@pytest.mark.skipif(load_kernel() is None, reason="C kernel unavailable")
-def test_kernel_engages_in_combined_mode(pf, tables):
-    """The combined configuration must not fall back to numpy cycles."""
+def test_kernel_engages_in_combined_mode(pf, tables, flat_kernel):
+    """The combined configuration runs on the C kernel."""
     sim = build(pf, tables, *COMBOS[0], FlatSimulator, seed=1)
     assert sim._kernel is not None
     res = sim.run_workload(max_cycles=60_000)

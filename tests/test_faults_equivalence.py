@@ -1,15 +1,12 @@
 """Golden equivalence for the dynamic fault subsystem.
 
-The acceptance contract: for the same seed, the flat engine — on
-**both** cycle paths, pure numpy and the C kernel (when a compiler is
-present) — and the reference engine produce **bit-identical** results
+The acceptance contract: for the same seed, the flat engine (its C
+kernel) and the reference engine produce **bit-identical** results
 on PolarFly q=7 for *every* registered fault timeline — flit drops,
 blackholes, retransmit order, and post-repair routes included — in both
 open-loop and closed-loop modes; and faulted sweep cells are
 cache-stable and identical at any worker count.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -27,19 +24,11 @@ from repro.experiments import (
 from repro.experiments.runner import auto_sim_config
 from repro.faults import prepare_fault_policy
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.traffic import UniformTraffic
 from repro.routing.tables import RoutingTables
 
 PF_SPEC = "polarfly:conc=2,q=7"
 
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 #: one spec per registered generator, sized so events land inside the
 #: simulated window and exercise repair (ups as well as downs)
@@ -102,7 +91,9 @@ def test_specs_cover_every_registered_generator():
 
 @pytest.mark.parametrize("fault_spec", FAULT_SPECS)
 @pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
-def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
+def test_flat_matches_reference_open_loop(
+    pf, tables, fault_spec, policy_spec, flat_kernel
+):
     sim = build(
         pf, tables, policy_spec, fault_spec, NetworkSimulator,
         traffic=UniformTraffic(pf), load=0.4, seed=7,
@@ -110,18 +101,13 @@ def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
     ra = sim.run(warmup=200, measure=400, drain=150)
     fa = sim.fault_result
     assert fa.applied_events > 0, "timeline must actually fire in-window"
-    for label, ctx, expect_kernel in flat_variants():
-        with ctx():
-            fsim = build(
-                pf, tables, policy_spec, fault_spec, FlatSimulator,
-                traffic=UniformTraffic(pf), load=0.4, seed=7,
-            )
-        assert (fsim._kernel is not None) == expect_kernel, (
-            f"{label} must {'use' if expect_kernel else 'skip'} the C kernel"
-        )
-        rb = fsim.run(warmup=200, measure=400, drain=150)
-        assert_sim_identical(ra, rb)
-        assert_fault_identical(fa, fsim.fault_result)
+    fsim = build(
+        pf, tables, policy_spec, fault_spec, FlatSimulator,
+        traffic=UniformTraffic(pf), load=0.4, seed=7,
+    )
+    rb = fsim.run(warmup=200, measure=400, drain=150)
+    assert_sim_identical(ra, rb)
+    assert_fault_identical(fa, fsim.fault_result)
 
 
 @pytest.mark.parametrize(
@@ -132,31 +118,29 @@ def test_flat_matches_reference_open_loop(pf, tables, fault_spec, policy_spec):
         "routerdown:cycle=150,count=1,duration=300,seed=3",
     ],
 )
-def test_flat_matches_reference_closed_loop(pf, tables, fault_spec):
+def test_flat_matches_reference_closed_loop(pf, tables, fault_spec, flat_kernel):
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
     sim = build(pf, tables, "ugal-pf", fault_spec, NetworkSimulator,
                 seed=3, workload=wl)
     ra = sim.run_workload(max_cycles=60_000)
     fa = sim.fault_result
-    for label, ctx, expect_kernel in flat_variants():
-        with ctx():
-            fsim = build(
-                pf, tables, "ugal-pf", fault_spec, FlatSimulator,
-                seed=3, workload=wl,
-            )
-        assert (fsim._kernel is not None) == expect_kernel, label
-        rb = fsim.run_workload(max_cycles=60_000)
-        fb = fsim.fault_result
-        assert ra.cycles == rb.cycles
-        assert ra.finished == rb.finished
-        assert ra.completed_messages == rb.completed_messages
-        assert np.array_equal(ra.msg_latencies, rb.msg_latencies)
-        assert np.array_equal(ra.packet_latencies, rb.packet_latencies)
-        assert ra.summary() == rb.summary()
-        assert_fault_identical(fa, fb)
+    fsim = build(
+        pf, tables, "ugal-pf", fault_spec, FlatSimulator, seed=3, workload=wl
+    )
+    rb = fsim.run_workload(max_cycles=60_000)
+    fb = fsim.fault_result
+    assert ra.cycles == rb.cycles
+    assert ra.finished == rb.finished
+    assert ra.completed_messages == rb.completed_messages
+    assert np.array_equal(ra.msg_latencies, rb.msg_latencies)
+    assert np.array_equal(ra.packet_latencies, rb.packet_latencies)
+    assert ra.summary() == rb.summary()
+    assert_fault_identical(fa, fb)
 
 
-def test_retransmission_recovers_lost_collective_packets(pf, tables):
+def test_retransmission_recovers_lost_collective_packets(
+    pf, tables, flat_kernel
+):
     """An MTBF process that drops tails must retransmit and still finish."""
     spec = "mtbf:count=4,mtbf=150,mttr=200,seed=2,start=60"
     wl = WORKLOADS.create("allreduce:algo=ring,size=64", pf)
@@ -169,7 +153,7 @@ def test_retransmission_recovers_lost_collective_packets(pf, tables):
     assert res.completed_messages == res.num_messages
 
 
-def test_fault_state_is_single_run(pf, tables):
+def test_fault_state_is_single_run(pf, tables, flat_kernel):
     sim = build(
         pf, tables, "min", FAULT_SPECS[0], FlatSimulator,
         traffic=UniformTraffic(pf), load=0.3, seed=1,
@@ -179,7 +163,7 @@ def test_fault_state_is_single_run(pf, tables):
         sim.run(warmup=50, measure=50, drain=0)
 
 
-def test_flit_conservation_with_drops(pf, tables):
+def test_flit_conservation_with_drops(pf, tables, flat_kernel):
     """Pool accounting: every flit is delivered, dropped, or in flight."""
     sim = build(
         pf, tables, "min", "progressive:frac=0.1,steps=4,period=100,start=100,seed=6",

@@ -1,13 +1,14 @@
 """Golden equivalence: the flat engine reproduces the reference engine.
 
-The struct-of-arrays engine (numpy path *and* optional C kernel) must
-produce bit-identical :class:`~repro.flitsim.engine.SimResult`\\ s to the
+The struct-of-arrays engine (its cycle is the C kernel) must produce
+bit-identical :class:`~repro.flitsim.engine.SimResult`\\ s to the
 readable reference engine for the same seed — same injected/ejected flit
 counts and identical latency/hop sample arrays in identical order —
 across a grid of cells covering every registered routing policy, the
 drain phase, and credit flow.  This is the contract that lets every
 benchmark and sweep run on the fast engine while the reference remains
-the auditable oracle.
+the auditable oracle — and that lets ``make_simulator`` run the
+reference engine in its place when the kernel cannot be built.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
 from repro.experiments.runner import auto_sim_config
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel
 from repro.routing.tables import RoutingTables
 
 # One small topology per family; PolarFly covers the paper's policies,
@@ -73,7 +73,9 @@ def assert_identical(a, b):
     CELLS,
     ids=[f"{p}-{t.split(':')[0]}-{ld}" for _, p, t, ld in CELLS],
 )
-def test_flat_matches_reference(topo_spec, policy_spec, traffic_spec, load):
+def test_flat_matches_reference(
+    topo_spec, policy_spec, traffic_spec, load, flat_kernel
+):
     topo, policy, traffic = _objects(topo_spec, policy_spec, traffic_spec)
     ref, _ = _run(NetworkSimulator, topo, policy, traffic, load, seed=7)
     flat, _ = _run(FlatSimulator, topo, policy, traffic, load, seed=7)
@@ -87,7 +89,7 @@ def test_covers_every_registered_policy():
     )
 
 
-def test_flat_matches_reference_without_drain():
+def test_flat_matches_reference_without_drain(flat_kernel):
     # drain=0: in-flight measured packets never complete — the partial
     # sample arrays must still agree element for element.
     topo, policy, traffic = _objects(PF_SPEC, "ugal-pf", "uniform")
@@ -96,38 +98,32 @@ def test_flat_matches_reference_without_drain():
     assert_identical(ref, flat)
 
 
-def test_numpy_path_matches_reference(monkeypatch):
-    # Force the pure-numpy flat path even where the C kernel compiled.
-    monkeypatch.setenv("REPRO_FLAT_KERNEL", "0")
+def test_missing_kernel_falls_back_to_reference(
+    monkeypatch, capsys, flat_kernel
+):
+    # Without the kernel there is no flat cycle: the default engine
+    # resolves to the reference engine (same results, one stderr
+    # line), and building FlatSimulator directly fails loudly.
     import repro.flitsim._kernel as kmod
+    from repro.flitsim import flatcore
+    from repro.flitsim.engine import ENGINE_ENV, make_simulator
 
-    monkeypatch.setattr(kmod, "_cached", False)
-    monkeypatch.setattr(kmod, "_module", None)
     topo, policy, traffic = _objects(PF_SPEC, "ugal-pf", "tornado")
-    ref, _ = _run(NetworkSimulator, topo, policy, traffic, 0.7, seed=11)
-    flat, fsim = _run(FlatSimulator, topo, policy, traffic, 0.7, seed=11)
-    assert fsim._kernel is None
-    assert_identical(ref, flat)
+    flat, _ = _run(FlatSimulator, topo, policy, traffic, 0.7, seed=11)
+    monkeypatch.setattr(flatcore, "load_kernel", lambda: None)
+    monkeypatch.setattr(kmod, "_diagnosed", False)
+    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    sim = make_simulator(
+        topo, policy, traffic, 0.7, config=auto_sim_config(policy), seed=11
+    )
+    assert isinstance(sim, NetworkSimulator)
+    assert_identical(flat, sim.run(warmup=60, measure=150, drain=80))
+    assert "using the reference engine" in capsys.readouterr().err
+    with pytest.raises(RuntimeError, match="C cycle kernel"):
+        FlatSimulator(topo, policy, traffic, 0.7, seed=11)
 
 
-@pytest.mark.skipif(load_kernel() is None, reason="C kernel unavailable")
-def test_kernel_path_matches_numpy_path(monkeypatch):
-    # The two flat implementations must agree with each other too.
-    topo, policy, traffic = _objects(PF_SPEC, "ugal", "uniform")
-    kern, ksim = _run(FlatSimulator, topo, policy, traffic, 0.6, seed=5)
-    assert ksim._kernel is not None
-
-    monkeypatch.setenv("REPRO_FLAT_KERNEL", "0")
-    import repro.flitsim._kernel as kmod
-
-    monkeypatch.setattr(kmod, "_cached", False)
-    monkeypatch.setattr(kmod, "_module", None)
-    plain, psim = _run(FlatSimulator, topo, policy, traffic, 0.6, seed=5)
-    assert psim._kernel is None
-    assert_identical(kern, plain)
-
-
-def test_congestion_views_agree_under_load():
+def test_congestion_views_agree_under_load(flat_kernel):
     # The O(1) occupancy counters must report the same backlog in both
     # engines at every step of a congested run.
     topo, policy, traffic = _objects(PF_SPEC, "min", "tornado")

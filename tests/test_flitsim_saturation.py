@@ -60,7 +60,9 @@ def tables(pf):
 
 
 class TestSaturationBackpressure:
-    def test_full_load_single_flit_vcs_engines_agree(self, pf, tables):
+    def test_full_load_single_flit_vcs_engines_agree(
+        self, pf, tables, flat_kernel
+    ):
         # load=1.0 with vc_depth=1: every buffer is one flit deep, so
         # almost every grant is credit-blocked — the stress case for
         # the synchronous credit protocol.  drain=0 on top.
@@ -74,7 +76,7 @@ class TestSaturationBackpressure:
         # Saturated: offered 1.0 can't be accepted with 1-deep VCs.
         assert runs[0].accepted_load < 1.0
 
-    def test_no_credit_leaks_after_drain(self, pf, tables):
+    def test_no_credit_leaks_after_drain(self, pf, tables, flat_kernel):
         cfg = SimConfig(vc_depth=1)
         policy = MinimalRouting(tables)
         ref = NetworkSimulator(pf, policy, UniformTraffic(pf), 1.0, config=cfg, seed=9)
@@ -104,7 +106,7 @@ class TestSaturationBackpressure:
         assert int(flat._pslot_top[0]) == flat.pkt_cap
         assert flat.packets_injected > flat.pkt_cap // 2  # slots reused
 
-    def test_degraded_topology_with_dark_router(self, pf):
+    def test_degraded_topology_with_dark_router(self, pf, flat_kernel):
         # Remove a link, zero one router's concentration: a transit-only
         # router inside a degraded fabric.  Both engines must agree and
         # route around/through it.
@@ -128,7 +130,7 @@ class TestSaturationBackpressure:
         # Traffic flowed despite the dark router and the missing link.
         assert runs[0].ejected_flits > 0
 
-    def test_dark_router_receives_no_packets(self, pf):
+    def test_dark_router_receives_no_packets(self, pf, flat_kernel):
         # The concentration-0 router is never a destination; it may only
         # ever carry transit flits.
         conc = pf.concentration.copy()

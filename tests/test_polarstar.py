@@ -97,7 +97,7 @@ class TestConstructionInvariants:
         assert (np.asarray(ps.concentration) == 2).all()
 
 
-def test_flat_matches_reference_200_cycles():
+def test_flat_matches_reference_200_cycles(flat_kernel):
     """The CI smoke: construct + 200-cycle uniform sim, bit-identical."""
     topo = TOPOLOGIES.create("polarstar:conc=2,q=3,sq=5")
     tables = RoutingTables(topo)

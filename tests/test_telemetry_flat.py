@@ -3,12 +3,9 @@
 `run_with_telemetry` instruments both engines at the same accounting
 point (a link grant counts before any fault doom filtering, during the
 measure window only), so per-link flit counts and sampled occupancies
-must agree bit-exactly on PolarFly q=7 — on the pure-numpy cycle path
-*and* the C kernel path — and attaching the counters must not perturb
-the simulated results themselves.
+must agree bit-exactly on PolarFly q=7, and attaching the counters must
+not perturb the simulated results themselves.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -22,19 +19,10 @@ from repro.flitsim import (
     NetworkSimulator,
     run_with_telemetry,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.traffic import TornadoTraffic, UniformTraffic
 from repro.routing.tables import RoutingTables
 
 WINDOW = dict(warmup=120, measure=240, sample_every=8)
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 
 @pytest.fixture(scope="module")
@@ -87,38 +75,31 @@ def assert_results_identical(a, b):
     ids=["min-uniform", "min-tornado", "ugalpf-uniform"],
 )
 def test_flat_telemetry_bit_matches_reference(pf, tables, policy_spec,
-                                              traffic_cls, load):
+                                              traffic_cls, load, flat_kernel):
     ref_sim = build(pf, tables, NetworkSimulator, policy_spec, traffic_cls, load)
     ref_res, ref_tel = run_with_telemetry(ref_sim, **WINDOW)
-    for label, ctx, expects_kernel in flat_variants():
-        with ctx():
-            flat_sim = build(
-                pf, tables, FlatSimulator, policy_spec, traffic_cls, load
-            )
-        assert (flat_sim._kernel is not None) == expects_kernel, label
-        flat_res, flat_tel = run_with_telemetry(flat_sim, **WINDOW)
-        assert_results_identical(ref_res, flat_res)
-        assert_telemetry_identical(ref_tel, flat_tel)
-        assert flat_tel.link_flits, label  # a loaded run carries flits
+    flat_sim = build(pf, tables, FlatSimulator, policy_spec, traffic_cls, load)
+    flat_res, flat_tel = run_with_telemetry(flat_sim, **WINDOW)
+    assert_results_identical(ref_res, flat_res)
+    assert_telemetry_identical(ref_tel, flat_tel)
+    assert flat_tel.link_flits  # a loaded run carries flits
 
 
-def test_faulted_telemetry_counts_before_drop(pf, tables):
+def test_faulted_telemetry_counts_before_drop(pf, tables, flat_kernel):
     # Doomed flits (downed link ahead) still count at the grant point in
     # both engines — the counting-before-doom-filter placement contract.
     fault = "linkflap:count=3,cycle=150,duration=120,seed=1"
     ref_sim = build(pf, tables, NetworkSimulator, "ugal-pf", load=0.4,
                     fault_spec=fault)
     _, ref_tel = run_with_telemetry(ref_sim, **WINDOW)
-    for label, ctx, _ in flat_variants():
-        with ctx():
-            flat_sim = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
-                             fault_spec=fault)
-        _, flat_tel = run_with_telemetry(flat_sim, **WINDOW)
-        assert_telemetry_identical(ref_tel, flat_tel)
-        assert flat_sim._fault.dropped_flits > 0, label  # faults actually hit
+    flat_sim = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
+                     fault_spec=fault)
+    _, flat_tel = run_with_telemetry(flat_sim, **WINDOW)
+    assert_telemetry_identical(ref_tel, flat_tel)
+    assert flat_sim._fault.dropped_flits > 0  # faults actually hit
 
 
-def test_attach_does_not_perturb_results(pf, tables):
+def test_attach_does_not_perturb_results(pf, tables, flat_kernel):
     plain = build(pf, tables, FlatSimulator)
     plain_res = plain.run(warmup=120, measure=240, drain=80)
 
@@ -131,7 +112,7 @@ def test_attach_does_not_perturb_results(pf, tables):
     assert int(instrumented._ltel.sum()) > 0
 
 
-def test_run_with_telemetry_finalizes_flat_result(pf, tables):
+def test_run_with_telemetry_finalizes_flat_result(pf, tables, flat_kernel):
     sim = build(pf, tables, FlatSimulator)
     res, tel = run_with_telemetry(sim, **WINDOW)
     assert sim.result is not None
@@ -148,26 +129,20 @@ def test_rejects_unknown_engine():
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
 
 
-def engine_variants():
-    """(label, context factory, engine class) for all three cycle paths."""
-    return [("reference", contextlib.nullcontext, NetworkSimulator)] + [
-        (label, ctx, FlatSimulator) for label, ctx, _ in flat_variants()
-    ]
-
-
-@pytest.mark.parametrize("label,ctx,cls", engine_variants(),
-                         ids=[v[0] for v in engine_variants()])
-def test_faulted_telemetry_run_matches_plain_run(pf, tables, label, ctx, cls):
+@pytest.mark.parametrize(
+    "cls", [NetworkSimulator, FlatSimulator], ids=["reference", "flat-kernel"]
+)
+def test_faulted_telemetry_run_matches_plain_run(pf, tables, cls, request):
     # run_with_telemetry is run(warmup, measure, drain=0) plus probes:
     # it parks the policy via begin_run and sets fault_result.
-    with ctx():
-        instrumented = build(pf, tables, cls, "ugal-pf", load=0.4,
-                             fault_spec=FAULT_SPEC)
-        twin = build(pf, tables, cls, "ugal-pf", load=0.4,
-                     fault_spec=FAULT_SPEC)
+    if cls is FlatSimulator:
+        request.getfixturevalue("flat_kernel")
+    instrumented = build(pf, tables, cls, "ugal-pf", load=0.4,
+                         fault_spec=FAULT_SPEC)
+    twin = build(pf, tables, cls, "ugal-pf", load=0.4, fault_spec=FAULT_SPEC)
     res, _ = run_with_telemetry(instrumented, **WINDOW)
     plain = twin.run(WINDOW["warmup"], WINDOW["measure"], drain=0)
-    assert instrumented.fault_result is not None, label
+    assert instrumented.fault_result is not None
     assert instrumented.fault_result.summary() == twin.fault_result.summary()
     assert_results_identical(plain, res)
 

@@ -112,7 +112,9 @@ class TestWorkloadsOnFatTree:
             assert np.all(ft.concentration[wl.src] > 0), spec
             assert np.all(ft.concentration[wl.dst] > 0), spec
 
-    def test_closed_loop_fattree_engines_agree(self, ft, ft_tables):
+    def test_closed_loop_fattree_engines_agree(
+        self, ft, ft_tables, flat_kernel
+    ):
         policy = POLICIES.create("ftnca", ft_tables)
         wl = WORKLOADS.create("alltoall:size=4", ft)
         cfg = auto_sim_config(policy)

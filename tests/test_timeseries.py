@@ -1,9 +1,8 @@
-"""Windowed time-series telemetry: tri-engine bit-identity + analytics.
+"""Windowed time-series telemetry: cross-engine bit-identity + analytics.
 
 The golden contract: `run_with_timeseries` / `run_workload_with_timeseries`
 close windows at identical measure-relative cycle boundaries with
-identical accounting in the reference engine, the numpy flat path, and
-the C kernel — per-window flit/link counts, latency percentiles,
+identical accounting in the reference and flat engines — per-window flit/link counts, latency percentiles,
 occupancy samples, and fault markers all compare equal as whole window
 records on PolarFly q=7, in open-loop, faulted, and workload modes.
 Collecting a series must not perturb the simulation itself: the
@@ -14,7 +13,6 @@ extraction, Chrome-trace export, and the ``LinkTelemetry.gini()``
 idle-link universe pin.
 """
 
-import contextlib
 import json
 
 import numpy as np
@@ -30,7 +28,6 @@ from repro.flitsim import (
     run_with_timeseries,
     run_workload_with_timeseries,
 )
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.flitsim.telemetry import LinkTelemetry
 from repro.flitsim.traffic import UniformTraffic
 from repro.obs.timeseries import (
@@ -46,14 +43,6 @@ from repro.routing.tables import RoutingTables
 
 WINDOW = dict(warmup=120, measure=240, window=64, sample_every=8, drain=80)
 FAULT_SPEC = "linkflap:count=3,cycle=150,duration=120,seed=1"
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 
 @pytest.fixture(scope="module")
@@ -93,25 +82,24 @@ def assert_results_identical(a, b):
 
 
 class TestTriEngineGolden:
-    """Per-window records bit-identical across all three cycle paths."""
+    """Per-window records bit-identical across the two engines."""
 
     @pytest.mark.parametrize(
         "policy_spec,load", [("min", 0.5), ("ugal-pf", 0.6)],
         ids=["min", "ugal-pf"],
     )
-    def test_open_loop_windows_match(self, pf, tables, policy_spec, load):
+    def test_open_loop_windows_match(
+        self, pf, tables, policy_spec, load, flat_kernel
+    ):
         ref = build(pf, tables, NetworkSimulator, policy_spec, load)
         ref_res, ref_series = run_with_timeseries(ref, **WINDOW)
         assert len(ref_series) == 4  # ceil(240 / 64)
-        for label, ctx, expects_kernel in flat_variants():
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, policy_spec, load)
-            assert (flat._kernel is not None) == expects_kernel, label
-            flat_res, flat_series = run_with_timeseries(flat, **WINDOW)
-            assert_results_identical(ref_res, flat_res)
-            # Whole window records, not just headline counts: link
-            # maps, percentiles, occupancy stats, boundaries.
-            assert flat_series.summary() == ref_series.summary(), label
+        flat = build(pf, tables, FlatSimulator, policy_spec, load)
+        flat_res, flat_series = run_with_timeseries(flat, **WINDOW)
+        assert_results_identical(ref_res, flat_res)
+        # Whole window records, not just headline counts: link maps,
+        # percentiles, occupancy stats, boundaries.
+        assert flat_series.summary() == ref_series.summary()
         # Windows tile the measure phase exactly, deltas conserve.
         bounds = [(w["start"], w["end"]) for w in ref_series.windows]
         assert bounds == [(0, 64), (64, 128), (128, 192), (192, 240)]
@@ -121,24 +109,24 @@ class TestTriEngineGolden:
         )
         assert all(w["link_total"] > 0 for w in ref_series.windows)
 
-    def test_faulted_windows_match_and_carry_markers(self, pf, tables):
+    def test_faulted_windows_match_and_carry_markers(
+        self, pf, tables, flat_kernel
+    ):
         ref = build(pf, tables, NetworkSimulator, "ugal-pf", load=0.4,
                     fault_spec=FAULT_SPEC)
         _, ref_series = run_with_timeseries(ref, **WINDOW)
         assert ref_series.fault_cycles(), "events must land in measure"
-        for label, ctx, _ in flat_variants():
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
-                             fault_spec=FAULT_SPEC)
-            _, flat_series = run_with_timeseries(flat, **WINDOW)
-            assert flat_series.summary() == ref_series.summary(), label
-            assert flat._fault.dropped_flits > 0, label
-            # The series feeds recovery analytics into the fault result.
-            assert flat.fault_result.recovery is not None
-            summary = flat.fault_result.summary()
-            assert "fault_recovery_cycles" in summary
+        flat = build(pf, tables, FlatSimulator, "ugal-pf", load=0.4,
+                     fault_spec=FAULT_SPEC)
+        _, flat_series = run_with_timeseries(flat, **WINDOW)
+        assert flat_series.summary() == ref_series.summary()
+        assert flat._fault.dropped_flits > 0
+        # The series feeds recovery analytics into the fault result.
+        assert flat.fault_result.recovery is not None
+        summary = flat.fault_result.summary()
+        assert "fault_recovery_cycles" in summary
 
-    def test_workload_windows_match(self, pf, tables):
+    def test_workload_windows_match(self, pf, tables, flat_kernel):
         wl = "allreduce:algo=ring,size=64"
         ref = build(pf, tables, NetworkSimulator, "ugal-pf",
                     workload_spec=wl)
@@ -146,15 +134,12 @@ class TestTriEngineGolden:
             ref, window=64, sample_every=8
         )
         assert len(ref_series) >= 2
-        for label, ctx, _ in flat_variants():
-            with ctx():
-                flat = build(pf, tables, FlatSimulator, "ugal-pf",
-                             workload_spec=wl)
-            flat_res, flat_series = run_workload_with_timeseries(
-                flat, window=64, sample_every=8
-            )
-            assert flat_series.summary() == ref_series.summary(), label
-            assert flat_res.cycles == ref_res.cycles
+        flat = build(pf, tables, FlatSimulator, "ugal-pf", workload_spec=wl)
+        flat_res, flat_series = run_workload_with_timeseries(
+            flat, window=64, sample_every=8
+        )
+        assert flat_series.summary() == ref_series.summary()
+        assert flat_res.cycles == ref_res.cycles
         # The final (possibly partial) window ends at the completion
         # cycle and the deltas cover every ejected flit.
         assert ref_series.windows[-1]["end"] == ref_res.cycles
@@ -169,7 +154,9 @@ class TestNonPerturbation:
 
     @pytest.mark.parametrize("fault_spec", [None, FAULT_SPEC],
                              ids=["clean", "faulted"])
-    def test_windowed_result_equals_plain_run(self, pf, tables, fault_spec):
+    def test_windowed_result_equals_plain_run(
+        self, pf, tables, fault_spec, flat_kernel
+    ):
         plain = build(pf, tables, FlatSimulator, "ugal-pf",
                       fault_spec=fault_spec)
         plain_res = plain.run(warmup=120, measure=240, drain=80)
@@ -186,7 +173,7 @@ class TestNonPerturbation:
                     if not k.startswith("fault_recovery_")} == a
             assert "fault_recovery_cycles" not in a
 
-    def test_rejects_wrong_loop_kind(self, pf, tables):
+    def test_rejects_wrong_loop_kind(self, pf, tables, flat_kernel):
         open_loop = build(pf, tables, FlatSimulator)
         with pytest.raises(RuntimeError):
             run_workload_with_timeseries(open_loop)

@@ -1,15 +1,12 @@
 """Golden equivalence for the closed-loop path.
 
 The workload engine's acceptance contract: for the same seed, the flat
-engine — on **both** cycle paths, pure numpy and the C kernel (when a
-compiler is present) — and the reference (dict-of-deques) engine return
+engine (its C kernel) and the reference (dict-of-deques) engine return
 **bit-identical** :class:`~repro.workloads.WorkloadResult`\\ s on
 PolarFly q=7 across *every* registered workload generator (trace replay
 included), and workload sweeps are deterministic across worker counts
 and cache round trips.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -25,18 +22,9 @@ from repro.experiments import (
 )
 from repro.experiments.runner import auto_sim_config, simulate_workload
 from repro.flitsim import FlatSimulator, NetworkSimulator
-from repro.flitsim._kernel import load_kernel, numpy_fallback
 from repro.routing.tables import RoutingTables
 
 PF_SPEC = "polarfly:conc=2,q=7"
-
-
-def flat_variants():
-    """(label, context factory, expects kernel) for both flat cycle paths."""
-    variants = [("flat-numpy", numpy_fallback, False)]
-    if load_kernel() is not None:
-        variants.append(("flat-kernel", contextlib.nullcontext, True))
-    return variants
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +87,7 @@ def test_specs_cover_every_registered_workload(trace_path):
 
 @pytest.mark.parametrize("policy_spec", ["min", "ugal-pf"])
 def test_flat_matches_reference_all_workloads(
-    pf, tables, trace_path, policy_spec
+    pf, tables, trace_path, policy_spec, flat_kernel
 ):
     policy = POLICIES.create(policy_spec, tables)
     cfg = auto_sim_config(policy)
@@ -109,15 +97,10 @@ def test_flat_matches_reference_all_workloads(
             pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
         ).run_workload(max_cycles=100_000)
         assert ref.finished, wspec
-        for label, ctx, expect_kernel in flat_variants():
-            with ctx():
-                sim = FlatSimulator(
-                    pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
-                )
-            assert (sim._kernel is not None) == expect_kernel, (
-                f"{label} must {'use' if expect_kernel else 'skip'} the C kernel"
-            )
-            assert_identical(ref, sim.run_workload(max_cycles=100_000))
+        sim = FlatSimulator(
+            pf, policy, None, 0.0, config=cfg, seed=7, workload=wl
+        )
+        assert_identical(ref, sim.run_workload(max_cycles=100_000))
 
 
 def test_same_seed_is_deterministic(pf, tables):
@@ -142,7 +125,9 @@ def test_unfinished_run_reports_partial_progress(pf, tables):
     assert 0 < res.completed_messages < res.num_messages
 
 
-def test_run_and_run_workload_are_mutually_exclusive(pf, tables):
+def test_run_and_run_workload_are_mutually_exclusive(
+    pf, tables, flat_kernel
+):
     policy = POLICIES.create("min", tables)
     wl = WORKLOADS.create("alltoall:size=8", pf)
     sim = FlatSimulator(pf, policy, None, 0.0, workload=wl,
