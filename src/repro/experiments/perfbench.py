@@ -1,87 +1,140 @@
-"""Engine performance harness: the repo's perf-baseline trajectory.
+"""Engine performance harness: writes and gates ``BENCH_flitsim.json``.
 
-Times both simulation engines (the struct-of-arrays flat core and the
-dict-of-deques reference) on a small set of canonical cells, plus the
-*construction* path — topology build, :class:`RoutingTables` (batched
-all-pairs BFS), candidate CSR, unique-path cache, and
-:class:`FlatFabric` — at q ∈ {7, 19, 31}, against the seed per-source
-builders.  Everything is written to ``BENCH_flitsim.json`` — cycles/sec
-per engine, construction walls, speedups, and machine info — so every
-future hot-path change is measured against a recorded baseline instead
-of asserted.
+Times both simulation engines (the flat core, whose cycle is the C
+kernel, and the dict-of-deques reference) on the cells of
+:data:`CELLS`; the *construction* path — topology build,
+:class:`RoutingTables` (batched all-pairs BFS), candidate table,
+unique-path cache and :class:`FlatFabric` — against the seed per-source
+builders at the sizes of :data:`CONSTRUCTION_SPECS`; and three overhead
+sections (:data:`OVERHEADS`), each timing an instrumented path against a
+bare one in interleaved rounds.  :data:`GATES` holds every committed
+bound and :func:`check` evaluates it.
 
-Used by ``benchmarks/perf_smoke.py`` (pytest-free script), ``tools/bench.py``
-(CLI with ``--check`` / ``--check-construction`` gates for CI), and
-importable directly.
+:func:`run_benchmarks` is the entry point and ``tools/bench.py`` its
+CLI.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import platform
+import statistics
 import time
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.experiments.registry import POLICIES, TOPOLOGIES, TRAFFICS
-from repro.experiments.runner import auto_sim_config
+from repro.experiments.registry import (
+    FAULTS,
+    POLICIES,
+    TOPOLOGIES,
+    TRAFFICS,
+    WORKLOADS,
+)
+from repro.experiments.runner import simulate_point, simulate_workload
+from repro.faults import prepare_fault_policy
 from repro.flitsim._kernel import load_kernel
-from repro.flitsim.engine import make_simulator
+from repro.routing.tables import RoutingTables
 
 __all__ = [
-    "CANONICAL_CELLS",
-    "HEADLINE_CELL",
+    "Cell",
+    "CELLS",
     "CONSTRUCTION_SPECS",
     "CONSTRUCTION_GATE",
     "BASELINE_MAX_ROUTERS",
-    "SCALE_CELLS",
-    "SCALE_ENGINES",
-    "WORKLOAD_CELLS",
-    "FAULT_CELLS",
-    "CLOSED_LOOP_ENGINES",
-    "SWEEP_RESILIENCE_MAX_OVERHEAD",
-    "OBS_OVERHEAD_MAX",
-    "TS_OVERHEAD_MAX",
+    "OVERHEADS",
+    "Gate",
+    "GATES",
     "bench_cell",
+    "bench_construction",
+    "bench_sweep_resilience",
     "bench_obs_overhead",
     "bench_ts_overhead",
-    "bench_sweep_resilience",
-    "bench_workload_cell",
-    "bench_fault_cell",
-    "bench_construction_spec",
     "measure_construction_memory",
-    "run_construction_benchmarks",
-    "run_scale_benchmarks",
-    "run_workload_benchmarks",
-    "run_fault_benchmarks",
-    "run_sweep_resilience_benchmark",
-    "run_obs_overhead_benchmark",
-    "run_ts_overhead_benchmark",
+    "select",
     "run_benchmarks",
+    "check",
     "machine_info",
     "write_bench_json",
 ]
 
-#: The canonical perf cells.  ``fig09_pf_ugalpf_uniform`` is the
-#: headline: the Figure-9 PolarFly q=7 UGAL_PF configuration whose
-#: sweeps bottleneck every adaptive-routing figure.
-CANONICAL_CELLS = {
-    "fig09_pf_ugalpf_uniform": dict(
-        topology="polarfly:conc=2,q=7", policy="ugal-pf", traffic="uniform",
-        load=0.5,
-    ),
-    "fig09_pf_ugalpf_perm1hop": dict(
-        topology="polarfly:conc=2,q=7", policy="ugal-pf",
-        traffic="perm1hop:seed=1", load=0.6,
-    ),
-    "df_min_adversarial": dict(
+#: the seed every engine cell and overhead grid runs at
+SEED = 1
+
+
+class Cell(NamedTuple):
+    """One engine cell: its document section, its spec and its cycles.
+
+    Open-loop cells run ``warmup + measure`` cycles with no drain;
+    closed-loop cells (a ``workload`` in the spec) run to completion and
+    must finish within ``max_cycles``.
+    """
+
+    section: str
+    spec: dict
+    engines: tuple = ("reference", "flat")
+    warmup: int = 150
+    measure: int = 400
+    max_cycles: int = 100_000
+
+
+_PF_Q7 = "polarfly:conc=2,q=7"
+_MTBF = "mtbf:count=3,mtbf=250,mttr=200,seed=2,start=150"
+_RING = "allreduce:algo=ring,size=64"
+
+#: Every engine cell, keyed by its name in ``BENCH_flitsim.json``.
+#:
+#: * ``cells`` — the Figure-9 PolarFly q=7 UGAL_PF configuration whose
+#:   sweeps bottleneck every adaptive-routing figure, and Dragonfly
+#:   minimal adversarial.
+#: * ``workloads`` — collective completion, the closed-loop headline.
+#:   ``wk01`` uses min routing, which keeps the Python share (batched
+#:   route selection) small, so its flat rate tracks the C kernel.
+#: * ``faults`` — the Figure-9 configuration under a mid-run MTBF link
+#:   failure/repair process; ``fault01`` is its min-routing twin.
+#: * ``scale`` — the sparse tier, flat engine only: the reference engine
+#:   is pinned bit-identical on the small golden cells instead.
+CELLS = {
+    "fig09_pf_ugalpf_uniform": Cell("cells", dict(
+        topology=_PF_Q7, policy="ugal-pf", traffic="uniform", load=0.5,
+    )),
+    "fig09_pf_ugalpf_perm1hop": Cell("cells", dict(
+        topology=_PF_Q7, policy="ugal-pf", traffic="perm1hop:seed=1",
+        load=0.6,
+    )),
+    "df_min_adversarial": Cell("cells", dict(
         topology="dragonfly:a=4,h=2,p=2", policy="min", traffic="tornado",
         load=0.7,
-    ),
+    )),
+    "allreduce_ring_pf_q7": Cell("workloads", dict(
+        topology=_PF_Q7, policy="ugal-pf", workload=_RING,
+    )),
+    "alltoall_pf_q7": Cell("workloads", dict(
+        topology=_PF_Q7, policy="min", workload="alltoall:size=8",
+    )),
+    "wk01_allreduce_kernel": Cell("workloads", dict(
+        topology=_PF_Q7, policy="min", workload=_RING,
+    )),
+    "fig14_pf_ugalpf_mtbf": Cell("faults", dict(
+        topology=_PF_Q7, policy="ugal-pf", traffic="uniform", load=0.5,
+        faults=_MTBF,
+    )),
+    "fault01_mtbf_kernel": Cell("faults", dict(
+        topology=_PF_Q7, policy="min", traffic="uniform", load=0.5,
+        faults=_MTBF,
+    )),
+    "scale_pf_q53_min_uniform": Cell("scale", dict(
+        topology="polarfly:conc=2,q=53", policy="min", traffic="uniform",
+        load=0.2,
+    ), engines=("flat",), warmup=100, measure=300),
+    "scale_ps_q11_min_uniform": Cell("scale", dict(
+        topology="polarstar:conc=2,q=11,sq=25", policy="min",
+        traffic="uniform", load=0.2,
+    ), engines=("flat",), warmup=100, measure=300),
 }
-
-HEADLINE_CELL = "fig09_pf_ugalpf_uniform"
 
 #: The construction-trajectory topologies: the paper's headline PolarFly
 #: sizes from the q=7 toy (N=57) through the large-radix regime the
@@ -98,7 +151,7 @@ CONSTRUCTION_SPECS = {
     "ps_q11": "polarstar:conc=2,q=11,sq=25",
 }
 
-#: the construction entry the CI regression gate checks
+#: the construction entry the speedup gates read
 CONSTRUCTION_GATE = "pf_q19"
 
 #: Largest router count at which the seed per-source baselines (a
@@ -108,89 +161,6 @@ CONSTRUCTION_GATE = "pf_q19"
 #: the committed speedup trajectory is unbroken.
 BASELINE_MAX_ROUTERS = 1200
 
-#: Scale-tier simulation cells: flat-engine only (the dict-of-deques
-#: reference engine is quadratic-in-spirit at these sizes and is pinned
-#: bit-identical on the small golden cells instead).  Recorded in the
-#: separate ``scale`` section of BENCH_flitsim.json.
-SCALE_CELLS = {
-    "scale_pf_q53_min_uniform": dict(
-        topology="polarfly:conc=2,q=53", policy="min", traffic="uniform",
-        load=0.2,
-    ),
-    "scale_ps_q11_min_uniform": dict(
-        topology="polarstar:conc=2,q=11,sq=25", policy="min",
-        traffic="uniform", load=0.2,
-    ),
-}
-
-#: Engines timed on the scale cells (no reference at these sizes).
-SCALE_ENGINES = ("flat",)
-
-#: The canonical closed-loop cells: collective completion time is the
-#: workload engine's headline number (the paper-adjacent metric real
-#: systems are judged on), recorded per engine with the same
-#: flat-over-reference speedup bookkeeping as the open-loop cells.
-#: The ``wk01`` cell is the kernel headline: min routing keeps the
-#: Python share (batched route selection) small, so its flat throughput
-#: tracks the C cycle kernel itself.
-WORKLOAD_CELLS = {
-    "allreduce_ring_pf_q7": dict(
-        topology="polarfly:conc=2,q=7", policy="ugal-pf",
-        workload="allreduce:algo=ring,size=64",
-    ),
-    "alltoall_pf_q7": dict(
-        topology="polarfly:conc=2,q=7", policy="min", workload="alltoall:size=8",
-    ),
-    "wk01_allreduce_kernel": dict(
-        topology="polarfly:conc=2,q=7", policy="min",
-        workload="allreduce:algo=ring,size=64",
-    ),
-}
-
-#: The canonical resilience-under-load cells: the Figure-9 headline
-#: configuration with a mid-run MTBF link failure/repair process.  The
-#: fault cycle phases run in the C kernel too (drops, dead-port masks,
-#: credit semantics — epoch deltas stay in Python); ``fault01`` is the
-#: kernel-path headline with min routing, mirroring ``wk01``.
-FAULT_CELLS = {
-    "fig14_pf_ugalpf_mtbf": dict(
-        topology="polarfly:conc=2,q=7", policy="ugal-pf", traffic="uniform",
-        load=0.5, faults="mtbf:count=3,mtbf=250,mttr=200,seed=2,start=150",
-    ),
-    "fault01_mtbf_kernel": dict(
-        topology="polarfly:conc=2,q=7", policy="min", traffic="uniform",
-        load=0.5, faults="mtbf:count=3,mtbf=250,mttr=200,seed=2,start=150",
-    ),
-}
-
-#: Engines benchmarked on workload/fault cells.
-CLOSED_LOOP_ENGINES = ("reference", "flat")
-
-#: CI gate for the sweep scheduler: the crash-resilient as-completed
-#: dispatcher may cost at most this factor over a bare ``pool.map`` of
-#: statically pre-split chunks on the same grid and pool size.
-SWEEP_RESILIENCE_MAX_OVERHEAD = 1.05
-
-#: CI gate for observability: with ``$REPRO_OBS`` unset, the fully
-#: instrumented serial execution path may cost at most this factor over
-#: the seed execution spine (a bare ``run_cell`` loop on the same cells).
-OBS_OVERHEAD_MAX = 1.03
-
-#: CI gate for time-series collection: with windows *off* (the default
-#: ``window=0``), the merged feature may cost at most this factor over
-#: the seed execution spine (a direct simulator ``run()`` loop on the
-#: same points) — the dormant collector must stay dormant.
-TS_OVERHEAD_MAX = 1.05
-
-
-def _add_speedups(result: dict) -> None:
-    """Attach the derived speedup ratios for one cell's engine dict."""
-    eng = result["engines"]
-    if "reference" in eng and "flat" in eng:
-        result["speedup_flat_over_reference"] = (
-            eng["flat"]["cycles_per_sec"] / eng["reference"]["cycles_per_sec"]
-        )
-
 
 def machine_info() -> dict:
     """Environment fingerprint recorded next to every measurement."""
@@ -199,375 +169,400 @@ def machine_info() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "processor": platform.processor() or platform.machine(),
+        "cpu_count": os.cpu_count(),
         "flat_kernel": load_kernel() is not None,
     }
 
 
-def bench_cell(
-    cell: dict,
-    warmup: int = 150,
-    measure: int = 400,
-    seed: int = 1,
-    engines=("reference", "flat"),
-) -> dict:
-    """Time ``warmup + measure`` simulated cycles per engine on one cell.
+def _timed(fn, *args, repeats: int = 1):
+    """(result, best wall seconds) of calling ``fn`` ``repeats`` times."""
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn(*args)
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
-    Objects are built once per engine run (fresh simulator each time,
-    same seed — the engines are result-equivalent, so both time the
-    exact same simulated work).  Returns per-engine wall/cycles-per-sec
-    plus the flat-over-reference speedup, and a ``phases`` section
-    splitting the wall into construct (topology build), route (tables +
-    policy + traffic), and simulate (summed engine loops) — each phase
-    also emitted as a ``bench.phase`` span when ``$REPRO_OBS`` is on.
+
+def _interleaved(a, b, repeats: int) -> "tuple[list, list]":
+    """Per-round walls ``(a_walls, b_walls)`` of two alternating sides.
+
+    Both sides run once untimed first, so neither pays construction
+    memos or pool start-up.  Then each of ``repeats`` rounds times both
+    back to back; the two walls of a round share its CPU-frequency and
+    box-load drift (easily ±15% across a CI run), so per-round ratios
+    cancel it.  The side that runs first alternates from round to
+    round, so neither always inherits the state the other left.
     """
-    from repro.routing.tables import RoutingTables
+    a()
+    b()
+    a_walls, b_walls = [], []
+    for i in range(repeats):
+        if i % 2:
+            b_walls.append(_timed(b)[1])
+            a_walls.append(_timed(a)[1])
+        else:
+            a_walls.append(_timed(a)[1])
+            b_walls.append(_timed(b)[1])
+    return a_walls, b_walls
 
-    topo, policy, traffic = None, None, None
-    with obs.span("bench.phase", phase="construct"):
-        t0 = time.perf_counter()
-        topo = TOPOLOGIES.create(cell["topology"])
-        construct_s = time.perf_counter() - t0
-    with obs.span("bench.phase", phase="route"):
-        t0 = time.perf_counter()
-        tables = RoutingTables(topo)
-        policy = POLICIES.create(cell["policy"], tables)
-        traffic = TRAFFICS.create(cell["traffic"], topo)
-        route_s = time.perf_counter() - t0
-    config = auto_sim_config(policy)
-    cycles = warmup + measure
-    result: dict = {"cell": dict(cell), "cycles": cycles, "engines": {}}
-    simulate_s = 0.0
-    for engine in engines:
-        sim = make_simulator(
-            topo, policy, traffic, cell["load"], config=config,
-            seed=seed, engine=engine,
+
+def _prepare(cell: Cell, topo, tables, engine: str):
+    """One engine's run of ``cell``, on fresh single-run objects.
+
+    Policy, traffic, workload and fault timeline are rebuilt per engine:
+    a fault timeline pins the policy it prepared, and neither engine may
+    see state the other left behind.
+    """
+    spec = cell.spec
+    policy = POLICIES.create(spec["policy"], tables)
+    if "workload" in spec:
+        workload = WORKLOADS.create(spec["workload"], topo)
+        return lambda: simulate_workload(
+            topo, policy, workload, max_cycles=cell.max_cycles, seed=SEED,
+            engine=engine,
         )
+    faults = None
+    if "faults" in spec:
+        faults = FAULTS.create(spec["faults"], topo)
+        prepare_fault_policy(policy, faults, topo)
+    traffic = TRAFFICS.create(spec["traffic"], topo)
+    return lambda: simulate_point(
+        topo, policy, traffic, spec["load"], warmup=cell.warmup,
+        measure=cell.measure, drain=0, seed=SEED, engine=engine,
+        faults=faults,
+    )
+
+
+def _signature(res) -> list:
+    """Every field of a result and of its fault accounting.
+
+    The engines are pinned bit-identical per seed, so two engines' runs
+    of one cell must produce equal signatures.
+    """
+    sig = []
+    for obj in (res, getattr(res, "fault", None)):
+        if obj is None:
+            continue
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, np.ndarray):
+                value = (value.dtype.str, value.shape, value.tobytes())
+            sig.append((f.name, value))
+    return sig
+
+
+def _counters(res) -> dict:
+    """The engine-agnostic counts a cell records beside its timings."""
+    if hasattr(res, "num_messages"):
+        return {
+            "num_messages": res.num_messages,
+            "wire_flits": res.wire_flits,
+            "bisection_utilization": res.bisection_utilization,
+        }
+    fault = getattr(res, "fault", None)
+    if fault is None:
+        return {}
+    return {
+        "dropped_flits": fault.dropped_flits,
+        "dropped_packets": fault.dropped_packets,
+        "damaged_packets": fault.damaged_packets,
+        "blackholed_packets": fault.blackholed_packets,
+        "fault_applied_events": fault.applied_events,
+    }
+
+
+def bench_cell(cell: Cell) -> dict:
+    """Time one cell on each of its engines.
+
+    Topology and routing tables are built once; each engine then times
+    one :func:`simulate_point` or :func:`simulate_workload` call, which
+    includes building its simulator.  The walls split into ``phases``:
+    construct (topology), route (tables) and simulate (summed engine
+    runs), each also emitted as a ``bench.phase`` span when
+    ``$REPRO_OBS`` is on.
+
+    Raises when two engines' result signatures differ — a baseline built
+    on diverged engines would be silently wrong — and when a workload
+    does not finish within ``max_cycles``, since an unfinished
+    collective has no completion time to record.
+    """
+    spec = cell.spec
+    with obs.span("bench.phase", phase="construct"):
+        topo, construct_s = _timed(TOPOLOGIES.create, spec["topology"])
+    with obs.span("bench.phase", phase="route"):
+        tables, route_s = _timed(RoutingTables, topo)
+    result: dict = {"cell": dict(spec), "engines": {}}
+    first = None
+    simulate_s = 0.0
+    for engine in cell.engines:
+        run = _prepare(cell, topo, tables, engine)
         with obs.span("bench.phase", phase="simulate", engine=engine):
-            start = time.perf_counter()
-            for _ in range(cycles):
-                sim.step()
-            wall = time.perf_counter() - start
+            res, wall = _timed(run)
+        if "workload" in spec and not res.finished:
+            raise RuntimeError(
+                f"{spec}: {engine} completed {res.completed_messages} of "
+                f"{res.num_messages} messages within {cell.max_cycles} cycles"
+            )
+        sig = _signature(res)
+        if first is None:
+            first = (engine, sig)
+        elif sig != first[1]:
+            raise RuntimeError(
+                f"engine divergence on {spec}: {engine} and {first[0]} "
+                "results differ"
+            )
         simulate_s += wall
+        cycles = res.cycles if "workload" in spec else cell.warmup + cell.measure
         result["engines"][engine] = {
             "wall_s": wall,
             "cycles_per_sec": cycles / wall,
         }
+    result["cycles"] = cycles
+    result.update(_counters(res))
     result["phases"] = {
         "construct_s": construct_s,
         "route_s": route_s,
         "simulate_s": simulate_s,
     }
-    _add_speedups(result)
-    return result
-
-
-def bench_workload_cell(
-    cell: dict,
-    max_cycles: int = 100_000,
-    seed: int = 1,
-    engines=CLOSED_LOOP_ENGINES,
-) -> dict:
-    """Time one closed-loop cell to completion per engine.
-
-    Both engines run the exact same collective (bit-identical results
-    per seed), so the recorded completion time is engine-agnostic and
-    the walls measure pure engine speed.
-    """
-    from repro.experiments.registry import WORKLOADS
-    from repro.experiments.runner import simulate_workload
-    from repro.routing.tables import RoutingTables
-
-    topo = TOPOLOGIES.create(cell["topology"])
-    tables = RoutingTables(topo)
-    policy = POLICIES.create(cell["policy"], tables)
-    workload = WORKLOADS.create(cell["workload"], topo)
-    config = auto_sim_config(policy)
-    result: dict = {"cell": dict(cell), "engines": {}}
-    for engine in engines:
-        start = time.perf_counter()
-        res = simulate_workload(
-            topo, policy, workload, config=config, max_cycles=max_cycles,
-            seed=seed, engine=engine,
+    eng = result["engines"]
+    if "reference" in eng and "flat" in eng:
+        result["speedup_flat_over_reference"] = (
+            eng["flat"]["cycles_per_sec"] / eng["reference"]["cycles_per_sec"]
         )
-        wall = time.perf_counter() - start
-        result["engines"][engine] = {
-            "wall_s": wall,
-            "cycles_per_sec": res.cycles / wall if wall else float("inf"),
-        }
-        if "completion_cycles" in result and (
-            result["completion_cycles"] != res.completion_time
-            or result["num_messages"] != res.num_messages
-        ):
-            # The engines are pinned bit-identical; a divergence here
-            # means the baseline would be silently wrong — fail loudly.
-            raise RuntimeError(
-                f"engine divergence on {cell}: {engine} completed in "
-                f"{res.completion_time} cycles vs recorded "
-                f"{result['completion_cycles']}"
-            )
-        result["completion_cycles"] = res.completion_time
-        result["num_messages"] = res.num_messages
-        result["wire_flits"] = res.wire_flits
-        result["bisection_utilization"] = res.bisection_utilization
-        result["finished"] = res.finished
-    _add_speedups(result)
     return result
 
 
-def bench_fault_cell(
-    cell: dict,
-    warmup: int = 150,
-    measure: int = 400,
-    seed: int = 1,
-    engines=CLOSED_LOOP_ENGINES,
-) -> dict:
-    """Time one faulted open-loop cell per engine.
+def measure_construction_memory(spec: str) -> dict:
+    """Peak memory of one full construction (topology through fabric).
 
-    The engines are pinned bit-identical under faults, so the recorded
-    drop counters are engine-agnostic; a divergence fails loudly rather
-    than committing a silently wrong baseline.
+    The tracemalloc traced peak (exact Python-side allocation high-water
+    mark, machine-independent) plus the byte counts of the distance
+    matrix and candidate table.  Run *after* the timing pass:
+    tracemalloc taxes every allocation.
     """
-    from repro.experiments.registry import FAULTS
-    from repro.faults import prepare_fault_policy
-    from repro.routing.tables import RoutingTables
+    import tracemalloc
 
-    topo = TOPOLOGIES.create(cell["topology"])
-    tables = RoutingTables(topo)
-    traffic = TRAFFICS.create(cell["traffic"], topo)
-    cycles = warmup + measure
-    result: dict = {"cell": dict(cell), "cycles": cycles, "engines": {}}
-    for engine in engines:
-        # Fault state (and the policy it pins) is single-run: rebuild.
-        timeline = FAULTS.create(cell["faults"], topo)
-        policy = POLICIES.create(cell["policy"], tables)
-        prepare_fault_policy(policy, timeline, topo)
-        sim = make_simulator(
-            topo, policy, traffic, cell["load"],
-            config=auto_sim_config(policy), seed=seed, engine=engine,
-            faults=timeline,
-        )
-        start = time.perf_counter()
-        for _ in range(cycles):
-            sim.step()
-        wall = time.perf_counter() - start
-        result["engines"][engine] = {
-            "wall_s": wall,
-            "cycles_per_sec": cycles / wall,
-        }
-        counters = {
-            "dropped_flits": sim._fault.dropped_flits,
-            "dropped_packets": sim._fault.dropped_packets,
-            "damaged_packets": sim._fault.damaged_packets,
-            "blackholed_packets": sim._fault.blackholed_packets,
-            "fault_applied_events": sim._fault.applied_events,
-        }
-        if "dropped_flits" in result and {
-            k: result[k] for k in counters
-        } != counters:
-            raise RuntimeError(
-                f"engine divergence on faulted cell {cell}: {engine} saw "
-                f"{counters}"
-            )
-        result.update(counters)
-    _add_speedups(result)
-    return result
+    from repro.flitsim.flatcore import FlatFabric
 
-
-def run_fault_benchmarks(
-    cells: "dict | None" = None,
-    warmup: int = 150,
-    measure: int = 400,
-    seed: int = 1,
-    engines=CLOSED_LOOP_ENGINES,
-) -> dict:
-    """The ``faults`` section of ``BENCH_flitsim.json``."""
-    cells = FAULT_CELLS if cells is None else cells
+    tracemalloc.start()
+    try:
+        topo = TOPOLOGIES.create(spec)
+        tables = RoutingTables(topo)
+        FlatFabric(topo)
+        if tables._path_cache_enabled():
+            tables._unique_path_cache()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     return {
-        name: bench_fault_cell(
-            cell, warmup=warmup, measure=measure, seed=seed, engines=engines
-        )
-        for name, cell in cells.items()
+        "traced_peak_bytes": int(peak),
+        "traced_current_bytes": int(current),
+        "dist_bytes": int(np.asarray(tables.dist).nbytes),
+        "candidate_table_bytes": int(tables._candidate_table().nbytes()),
     }
 
 
-def bench_sweep_resilience(
-    max_workers: int = 2, repeats: int = 5, seed: int = 1
-) -> dict:
+def bench_construction(spec: str, repeats: int = 2) -> dict:
+    """Time the construction path of one topology spec.
+
+    Measures the batched builders — topology construction,
+    :class:`RoutingTables` (one fused batched all-sources BFS), the
+    compact candidate table, the unique-path cache (when enabled), and
+    :class:`FlatFabric` — best of ``repeats``.  Up to
+    :data:`BASELINE_MAX_ROUTERS` routers it also times the seed
+    per-source equivalents (``bfs_distances_reference`` per source,
+    :func:`per_source_candidate_csr` with the dense-CSR
+    materialization) and records the speedups.  Ends with a
+    :func:`measure_construction_memory` pass.
+    """
+    from repro.flitsim.flatcore import FlatFabric
+    from repro.routing.tables import per_source_candidate_csr
+    from repro.utils.graph import bfs_distances_reference
+
+    topo, topo_s = _timed(TOPOLOGIES.create, spec, repeats=repeats)
+    tables, tables_s = _timed(RoutingTables, topo, repeats=repeats)
+
+    def fresh(build):
+        # Reset the lazy compact table instead of rebuilding the whole
+        # tables object — times the derive-from-dist path (the fault
+        # repair path) without re-paying the BFS.
+        tables._cands = None
+        return _timed(build)[1]
+
+    table_s = min(fresh(tables._candidate_table) for _ in range(repeats))
+    _, fabric_s = _timed(FlatFabric, topo, repeats=repeats)
+    entry = {
+        "spec": spec,
+        "num_routers": topo.num_routers,
+        "num_links": topo.num_links,
+        "topology_s": topo_s,
+        "routing_tables": {"batched_s": tables_s},
+        "candidate_table": {
+            "batched_s": table_s,
+            "nbytes": int(tables._candidate_table().nbytes()),
+        },
+        "fabric_s": fabric_s,
+    }
+    if tables._path_cache_enabled():
+        # The candidate table is already built (the last fresh pass), so
+        # this times the cache walk alone.
+        entry["path_cache_s"] = _timed(tables._unique_path_cache)[1]
+    if topo.num_routers > BASELINE_MAX_ROUTERS:
+        entry["baseline_skipped"] = (
+            f"num_routers > {BASELINE_MAX_ROUTERS}: the per-source Python "
+            "BFS loop and dense-CSR oracle are deliberately not run at "
+            "sparse-tier sizes"
+        )
+    else:
+        graph = topo.graph
+
+        def per_source_bfs():
+            for s in range(graph.n):
+                bfs_distances_reference(graph, s)
+
+        _, per_source_s = _timed(per_source_bfs, repeats=repeats)
+        rt = entry["routing_tables"]
+        rt["per_source_s"] = per_source_s
+        rt["speedup_batched_over_per_source"] = per_source_s / tables_s
+        # The dense-CSR comparison: compact table build plus the O(n^2)
+        # indptr materialization, matching what the per-source build
+        # produces.
+        csr_s = min(fresh(tables._candidate_csr) for _ in range(repeats))
+        _, csr_ps = _timed(
+            per_source_candidate_csr, graph, tables.dist, repeats=repeats
+        )
+        entry["candidate_csr"] = {
+            "batched_s": csr_s,
+            "per_source_s": csr_ps,
+            "speedup_batched_over_per_source": csr_ps / csr_s,
+        }
+    del tables
+    entry["memory"] = measure_construction_memory(spec)
+    return entry
+
+
+def _fig09_grid(loads, **overrides):
+    """The Figure-9 headline grid the overhead sections time."""
+    from repro.experiments.spec import ExperimentSpec
+
+    return ExperimentSpec.grid(
+        [_PF_Q7], ["ugal-pf"], ["uniform"], loads=tuple(loads),
+        warmup=150, measure=400, drain=100, root_seed=SEED, **overrides,
+    )
+
+
+def bench_sweep_resilience(repeats: int = 5, max_workers: int = 2) -> dict:
     """Scheduler overhead: resilient dispatch vs a bare ``pool.map``.
 
-    Runs the Figure-9 headline grid (PolarFly q=7, UGAL_PF, uniform,
-    16 loads — wide enough that per-cell jitter averages out within a
-    round) twice at the same pool size: once through the full
+    Times the Figure-9 grid (16 loads — wide enough that per-cell jitter
+    averages out within a round) at one pool size through the full
     crash-resilient scheduler (dynamic chunking, as-completed harvest,
     deadline tracking — the retry machinery idles on a clean run) and
-    once as the seed's ``pool.map`` over statically pre-split chunks.
-    Both paths time against a pre-warmed pool (the per-worker
-    construction memo is persistent-pool state, not scheduling cost),
-    interleaved in rounds — scheduler then pool.map, ``repeats`` times.
-    The gated ratio is the *median of per-round ratios*: the two sides
-    of one round are adjacent in time, so CPU-frequency and box-load
-    drift (easily ±15% across a CI run) cancels out of each ratio
-    instead of landing on whichever side was measured during the slow
-    patch.  The recorded ratio is what resilience costs when nothing
-    goes wrong; ``tools/bench.py --check`` gates it at
-    :data:`SWEEP_RESILIENCE_MAX_OVERHEAD`.
+    as the seed's ``pool.map`` over statically pre-split chunks, both
+    against pre-warmed pools.  The gated estimator is the *median of
+    per-round ratios*: what resilience costs when nothing goes wrong.
     """
     import math
-    import statistics
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.experiments.runner import SweepRunner, run_chunk
-    from repro.experiments.spec import ExperimentSpec
 
-    spec = ExperimentSpec.grid(
-        ["polarfly:conc=2,q=7"], ["ugal-pf"], ["uniform"],
-        loads=tuple(0.1 + 0.05 * i for i in range(16)),
-        warmup=150, measure=400, drain=100, root_seed=seed,
-    )
+    spec = _fig09_grid(0.1 + 0.05 * i for i in range(16))
     cells = spec.cells()
     per = math.ceil(len(cells) / max_workers)
     chunks = [cells[i : i + per] for i in range(0, len(cells), per)]
-
-    scheduler_s = pool_map_s = float("inf")
-    ratios = []
     runner = SweepRunner(cache=None, max_workers=max_workers)
     try:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            runner.run(spec)  # warm both pools + construction memos
-            list(pool.map(run_chunk, chunks))
-            for _ in range(repeats):
-                _, s = _timed(lambda: runner.run(spec))
-                _, m = _timed(lambda: list(pool.map(run_chunk, chunks)))
-                scheduler_s = min(scheduler_s, s)
-                pool_map_s = min(pool_map_s, m)
-                ratios.append(s / m)
+            sched, pool_map = _interleaved(
+                lambda: runner.run(spec),
+                lambda: list(pool.map(run_chunk, chunks)),
+                repeats,
+            )
     finally:
         runner.close()
-
+    ratios = [s / m for s, m in zip(sched, pool_map)]
     return {
         "grid": {
             "cells": len(cells),
             "max_workers": max_workers,
             "repeats": repeats,
         },
-        "scheduler_s": scheduler_s,
-        "pool_map_s": pool_map_s,
+        "scheduler_s": min(sched),
+        "pool_map_s": min(pool_map),
         "round_ratios": ratios,
         "overhead_vs_pool_map": statistics.median(ratios),
-        "max_overhead": SWEEP_RESILIENCE_MAX_OVERHEAD,
     }
 
 
-def run_sweep_resilience_benchmark(seed: int = 1) -> dict:
-    """The ``sweep_resilience`` section of ``BENCH_flitsim.json``."""
-    return bench_sweep_resilience(seed=seed)
-
-
-def bench_obs_overhead(repeats: int = 5, seed: int = 1) -> dict:
+def bench_obs_overhead(repeats: int = 5) -> dict:
     """Observability tax on the disabled path: instrumented vs seed.
 
     With ``$REPRO_OBS`` unset, every wired emit/span/counter call must
-    collapse to (at most) one env lookup.  This cell proves it end to
-    end: per round it times the fully instrumented serial execution
-    path — ``SweepRunner(max_workers=1).run()`` with its lifecycle
-    emits, heartbeat checks, per-cell spans, and cache counters all
-    disabled — against the seed execution spine, a bare ``run_cell``
-    loop over the same cells.  Rounds interleave the two sides so
-    CPU-frequency/box-load drift hits both equally (the
-    ``bench_sweep_resilience`` methodology); the gated number is the
-    *best-of-rounds* ratio — min instrumented wall over min bare wall,
-    the noise-robust estimator: a transient stall in one round cannot
-    fail the gate, only a cost paid in every round can.  Checked at
-    :data:`OBS_OVERHEAD_MAX` by ``tools/bench.py --check``; per-round
-    ratios are recorded alongside.  An *enabled*-side ratio (events
-    actually written to a scratch dir) is recorded for information but
-    never gated — writing JSONL costs what it costs.
+    collapse to (at most) one env lookup.  Each round times the fully
+    instrumented serial path — ``SweepRunner(max_workers=1).run()`` with
+    its lifecycle emits, heartbeat checks, per-cell spans and cache
+    counters all disabled — against the seed execution spine, a bare
+    ``run_cell`` loop over the same cells.  The gated estimator is min
+    instrumented wall over min bare wall: a transient stall in one round
+    cannot fail the gate, only a cost paid in every round can.  The
+    *enabled* ratio (events written to a scratch dir) is informational.
     """
     import shutil
     import tempfile
 
     from repro.experiments.runner import SweepRunner, run_cell
-    from repro.experiments.spec import ExperimentSpec
 
-    spec = ExperimentSpec.grid(
-        ["polarfly:conc=2,q=7"], ["ugal-pf"], ["uniform"],
-        loads=tuple(0.1 + 0.1 * i for i in range(8)),
-        warmup=150, measure=400, drain=100, root_seed=seed,
-    )
+    spec = _fig09_grid(0.1 + 0.1 * i for i in range(8))
     cells = spec.cells()
     runner = SweepRunner(cache=None, max_workers=1)
-    disabled_s = bare_s = float("inf")
-    ratios = []
-    # Warm the construction memo so neither side pays first-build cost.
-    for cell in cells:
-        run_cell(cell)
-    runner.run(spec)
-    for _ in range(repeats):
-        _, s = _timed(lambda: runner.run(spec))
-        _, b = _timed(lambda: [run_cell(cell) for cell in cells])
-        disabled_s = min(disabled_s, s)
-        bare_s = min(bare_s, b)
-        ratios.append(s / b)
-
-    # Informational: the same serial run with events flowing to disk.
+    disabled, bare = _interleaved(
+        lambda: runner.run(spec), lambda: [run_cell(c) for c in cells], repeats
+    )
     tmp = tempfile.mkdtemp(prefix="repro-obs-bench-")
     saved = os.environ.get(obs.OBS_ENV)
     try:
         os.environ[obs.OBS_ENV] = f"dir={tmp},sample=1"
-        _, enabled_s = _timed(lambda: runner.run(spec), repeats=2)
+        _, enabled_s = _timed(runner.run, spec, repeats=2)
     finally:
         if saved is None:
             os.environ.pop(obs.OBS_ENV, None)
         else:
             os.environ[obs.OBS_ENV] = saved
         shutil.rmtree(tmp, ignore_errors=True)
-
     return {
         "grid": {"cells": len(cells), "repeats": repeats},
-        "disabled_s": disabled_s,
-        "bare_s": bare_s,
+        "disabled_s": min(disabled),
+        "bare_s": min(bare),
         "enabled_s": enabled_s,
-        "round_ratios": ratios,
-        "overhead_disabled_vs_seed": disabled_s / bare_s,
-        "overhead_enabled_vs_disabled": enabled_s / disabled_s,
-        "max_overhead": OBS_OVERHEAD_MAX,
+        "round_ratios": [d / b for d, b in zip(disabled, bare)],
+        "overhead_disabled_vs_seed": min(disabled) / min(bare),
+        "overhead_enabled_vs_disabled": enabled_s / min(disabled),
     }
 
 
-def run_obs_overhead_benchmark(seed: int = 1) -> dict:
-    """The ``obs_overhead`` section of ``BENCH_flitsim.json``."""
-    return bench_obs_overhead(seed=seed)
-
-
-def bench_ts_overhead(repeats: int = 3, seed: int = 1) -> dict:
+def bench_ts_overhead(repeats: int = 3) -> dict:
     """Time-series tax with windows *off*: merged feature vs seed spine.
 
     Windowed collection is opt-in (``ExperimentSpec.window=0`` by
-    default), so the merged code may not slow down the fleet that never
-    asked for it.  Per round this times a ``run_cell`` loop over
-    non-windowed cells — the execution path every existing sweep takes
-    after the merge, window checks and all — against the seed execution
-    spine: a direct ``make_simulator(...).run(...)`` loop on the same
-    points with none of the cell plumbing.  Rounds interleave the two
-    sides (the :func:`bench_obs_overhead` methodology) and the gated
-    number is the best-of-rounds ratio, checked at
-    :data:`TS_OVERHEAD_MAX` by ``tools/bench.py --check``.  A
-    windowed-*on* ratio (``window=64`` on the same grid) is recorded for
-    information but never gated — collecting windows costs what it
-    costs.
+    default), so it may not slow down the runs that never asked for it.
+    Each round times a ``run_cell`` loop over non-windowed cells — the
+    path every sweep takes, window checks and all — against the seed
+    execution spine: a direct ``make_simulator(...).run(...)`` loop on
+    the same points with none of the cell plumbing.  The gated estimator
+    is min over min; the windowed-*on* ratio (``window=64`` on the same
+    grid) is informational.
     """
     from repro.experiments.runner import (
         _build_cell_objects,
         auto_sim_config,
         run_cell,
     )
-    from repro.experiments.spec import ExperimentSpec
+    from repro.flitsim.engine import make_simulator
 
-    spec = ExperimentSpec.grid(
-        ["polarfly:conc=2,q=7"], ["ugal-pf"], ["uniform"],
-        loads=(0.2, 0.4, 0.6, 0.8),
-        warmup=150, measure=400, drain=100, root_seed=seed,
-    )
+    spec = _fig09_grid((0.2, 0.4, 0.6, 0.8))
     cells = spec.cells()
     win_cells = spec.with_(window=64).cells()
 
@@ -590,303 +585,159 @@ def bench_ts_overhead(repeats: int = 3, seed: int = 1) -> dict:
                 drain=cell["drain"],
             )
 
-    # Warm the construction memo so neither side pays first-build cost.
-    run_cell(cells[0])
-    seed_spine()
-    off_s = bare_s = float("inf")
-    ratios = []
-    for _ in range(repeats):
-        _, s = _timed(lambda: [run_cell(cell) for cell in cells])
-        _, b = _timed(seed_spine)
-        off_s = min(off_s, s)
-        bare_s = min(bare_s, b)
-        ratios.append(s / b)
-    _, on_s = _timed(
-        lambda: [run_cell(cell) for cell in win_cells], repeats=2
+    off, bare = _interleaved(
+        lambda: [run_cell(c) for c in cells], seed_spine, repeats
     )
+    _, on_s = _timed(lambda: [run_cell(c) for c in win_cells], repeats=2)
     return {
         "grid": {"cells": len(cells), "repeats": repeats},
-        "windows_off_s": off_s,
-        "bare_s": bare_s,
+        "windows_off_s": min(off),
+        "bare_s": min(bare),
         "windows_on_s": on_s,
-        "round_ratios": ratios,
-        "overhead_off_vs_seed": off_s / bare_s,
-        "overhead_on_vs_off": on_s / off_s,
-        "max_overhead": TS_OVERHEAD_MAX,
+        "round_ratios": [o / b for o, b in zip(off, bare)],
+        "overhead_off_vs_seed": min(off) / min(bare),
+        "overhead_on_vs_off": on_s / min(off),
     }
 
 
-def run_ts_overhead_benchmark(seed: int = 1) -> dict:
-    """The ``ts_overhead`` section of ``BENCH_flitsim.json``."""
-    return bench_ts_overhead(seed=seed)
+#: The overhead sections, each a top-level entry of the document.
+OVERHEADS = {
+    "sweep_resilience": bench_sweep_resilience,
+    "obs_overhead": bench_obs_overhead,
+    "ts_overhead": bench_ts_overhead,
+}
 
 
-def run_workload_benchmarks(
-    cells: "dict | None" = None,
-    max_cycles: int = 100_000,
-    seed: int = 1,
-    engines=CLOSED_LOOP_ENGINES,
-) -> dict:
-    """The ``workloads`` section of ``BENCH_flitsim.json``."""
-    cells = WORKLOAD_CELLS if cells is None else cells
-    return {
-        name: bench_workload_cell(
-            cell, max_cycles=max_cycles, seed=seed, engines=engines
-        )
-        for name, cell in cells.items()
-    }
+def select(only=None) -> list:
+    """The ``(section, name, job)`` triples a run with ``only`` performs.
 
-
-def _timed(fn, *args, repeats: int = 1):
-    """(result, best wall seconds) of calling ``fn`` ``repeats`` times."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
-def _reset_peak_rss() -> bool:
-    """Reset the process VmHWM high-water mark; False when unsupported."""
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-        return True
-    except OSError:
-        return False
-
-
-def _peak_rss_kb() -> "int | None":
-    """Current VmHWM (peak resident set) in KiB, or None off-Linux."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return None
-
-
-def measure_construction_memory(spec: str) -> dict:
-    """Peak memory of one full construction (topology through fabric).
-
-    Two complementary numbers: the tracemalloc *traced* peak (exact
-    Python-side allocation high-water mark, machine-independent) and —
-    where ``/proc`` supports resetting ``VmHWM`` — the process peak-RSS
-    delta-capable counter, which also sees numpy's buffer reuse.  Run
-    *after* the timing pass: tracemalloc taxes every allocation.
+    ``name`` is None for an overhead section, which fills its section
+    alone.  ``only`` names cells, construction specs, overhead sections,
+    or whole sections (``cells``, ``workloads``, ``faults``, ``scale``,
+    ``construction``); None selects everything.  Unknown names raise
+    ``ValueError``.
     """
-    import tracemalloc
-
-    from repro.flitsim.flatcore import FlatFabric
-    from repro.routing.tables import RoutingTables
-
-    rss_ok = _reset_peak_rss()
-    tracemalloc.start()
-    try:
-        topo = TOPOLOGIES.create(spec)
-        tables = RoutingTables(topo)
-        fabric = FlatFabric(topo)
-        if tables._path_cache_enabled():
-            tables._unique_path_cache()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    entry = {
-        "traced_peak_bytes": int(peak),
-        "traced_current_bytes": int(current),
-        "dist_bytes": int(np.asarray(tables.dist).nbytes),
-        "candidate_table_bytes": int(tables._candidate_table().nbytes()),
-    }
-    rss = _peak_rss_kb() if rss_ok else None
-    if rss is not None:
-        entry["peak_rss_kb"] = rss
-    del topo, tables, fabric
-    return entry
-
-
-def bench_construction_spec(
-    spec: str, baseline: bool = True, repeats: int = 1, memory: bool = True
-) -> dict:
-    """Time the construction path of one topology spec.
-
-    Measures the batched builders — topology construction,
-    :class:`RoutingTables` (one fused batched all-sources BFS), the
-    compact candidate table, the unique-path cache (when enabled), and
-    :class:`FlatFabric` — and, with ``baseline`` (auto-skipped above
-    :data:`BASELINE_MAX_ROUTERS` routers), the seed per-source
-    equivalents (``bfs_distances_reference`` per source,
-    :func:`per_source_candidate_csr` with the dense-CSR
-    materialization), recording the speedups.  ``memory`` appends a
-    :func:`measure_construction_memory` pass.
-    """
-    from repro.flitsim.flatcore import FlatFabric
-    from repro.routing.tables import RoutingTables, per_source_candidate_csr
-    from repro.utils.graph import bfs_distances_reference
-
-    topo, topo_s = _timed(lambda: TOPOLOGIES.create(spec), repeats=repeats)
-    tables, tables_s = _timed(lambda: RoutingTables(topo), repeats=repeats)
-
-    def fresh_table():
-        # Reset the lazy compact table instead of rebuilding the whole
-        # tables object — times the derive-from-dist path (the fault
-        # repair path) without re-paying the BFS.
-        tables._cands = None
-        start = time.perf_counter()
-        tables._candidate_table()
-        return time.perf_counter() - start
-
-    table_s = min(fresh_table() for _ in range(repeats))
-    _, fabric_s = _timed(lambda: FlatFabric(topo), repeats=repeats)
-
-    entry = {
-        "spec": spec,
-        "num_routers": topo.num_routers,
-        "num_links": topo.num_links,
-        "topology_s": topo_s,
-        "routing_tables": {"batched_s": tables_s},
-        "candidate_table": {
-            "batched_s": table_s,
-            "nbytes": int(tables._candidate_table().nbytes()),
-        },
-        "fabric_s": fabric_s,
-    }
-    if tables._path_cache_enabled():
-        # The candidate table is already built (fresh_table's last
-        # pass), so this times the cache walk alone.
-        _, cache_s = _timed(tables._unique_path_cache, repeats=1)
-        entry["path_cache_s"] = cache_s
-    if baseline and topo.num_routers > BASELINE_MAX_ROUTERS:
-        baseline = False
-        entry["baseline_skipped"] = (
-            f"num_routers > {BASELINE_MAX_ROUTERS}: the per-source Python "
-            "BFS loop and dense-CSR oracle are deliberately not run at "
-            "sparse-tier sizes"
+    jobs = [
+        (cell.section, name, partial(bench_cell, cell))
+        for name, cell in CELLS.items()
+    ]
+    jobs += [
+        ("construction", name, partial(bench_construction, spec))
+        for name, spec in CONSTRUCTION_SPECS.items()
+    ]
+    # Looked up at call time, so a replaced entry is the one that runs.
+    jobs += [(name, None, lambda name=name: OVERHEADS[name]()) for name in OVERHEADS]
+    if only is None:
+        return jobs
+    only = set(only)
+    known = {section for section, _, _ in jobs} | set(CELLS) | set(
+        CONSTRUCTION_SPECS
+    )
+    if only - known:
+        raise ValueError(
+            f"unknown names {sorted(only - known)}; have {sorted(known)}"
         )
-    if baseline:
-        graph = topo.graph
-
-        def per_source_bfs():
-            for s in range(graph.n):
-                bfs_distances_reference(graph, s)
-
-        # Same best-of-``repeats`` sampling as the batched timings, so
-        # the recorded speedups aren't inflated by one noisy baseline.
-        _, per_source_s = _timed(per_source_bfs, repeats=repeats)
-        rt = entry["routing_tables"]
-        rt["per_source_s"] = per_source_s
-        rt["speedup_batched_over_per_source"] = per_source_s / tables_s
-
-        def fresh_csr():
-            # The dense-CSR oracle comparison: compact table build plus
-            # the O(n^2) indptr materialization, matching what the
-            # per-source baseline produces.
-            tables._cands = None
-            start = time.perf_counter()
-            tables._candidate_csr()
-            return time.perf_counter() - start
-
-        csr_s = min(fresh_csr() for _ in range(repeats))
-        _, csr_ps = _timed(
-            per_source_candidate_csr, graph, tables.dist, repeats=repeats
-        )
-        entry["candidate_csr"] = {
-            "batched_s": csr_s,
-            "per_source_s": csr_ps,
-            "speedup_batched_over_per_source": csr_ps / csr_s,
-        }
-    if memory:
-        del tables
-        entry["memory"] = measure_construction_memory(spec)
-    return entry
+    return [job for job in jobs if only & {job[0], job[1]}]
 
 
-def run_construction_benchmarks(
-    specs: "dict | None" = None,
-    baseline: bool = True,
-    repeats: int = 2,
-    memory: bool = True,
-) -> dict:
-    """The ``construction`` section of ``BENCH_flitsim.json``."""
-    specs = CONSTRUCTION_SPECS if specs is None else specs
-    return {
-        name: bench_construction_spec(
-            spec, baseline=baseline, repeats=repeats, memory=memory
-        )
-        for name, spec in specs.items()
-    }
-
-
-def run_scale_benchmarks(
-    cells: "dict | None" = None,
-    warmup: int = 100,
-    measure: int = 300,
-    seed: int = 1,
-    engines=SCALE_ENGINES,
-) -> dict:
-    """The ``scale`` section of ``BENCH_flitsim.json``.
-
-    Flat-engine-only open-loop cells on the sparse-tier fabrics (no
-    reference engine at these sizes; bit-identity is pinned on the small
-    golden suites instead).
-    """
-    cells = SCALE_CELLS if cells is None else cells
-    return {
-        name: bench_cell(
-            cell, warmup=warmup, measure=measure, seed=seed, engines=engines
-        )
-        for name, cell in cells.items()
-    }
-
-
-def run_benchmarks(
-    cells: "dict | None" = None,
-    warmup: int = 150,
-    measure: int = 400,
-    seed: int = 1,
-    engines=("reference", "flat"),
-    construction: bool = True,
-    workloads: bool = True,
-    faults: bool = True,
-    scale: bool = True,
-    sweep_resilience: bool = True,
-    obs_overhead: bool = True,
-    ts_overhead: bool = True,
-) -> dict:
-    """Run every cell and assemble the ``BENCH_flitsim.json`` document."""
-    cells = CANONICAL_CELLS if cells is None else cells
+def run_benchmarks(only=None) -> dict:
+    """Run the selected jobs (see :func:`select`) into one document."""
+    jobs = select(only)
     doc = {
         "benchmark": "flitsim-engine",
         "machine": machine_info(),
-        "warmup": warmup,
-        "measure": measure,
-        "seed": seed,
-        "cells": {},
+        "seed": SEED,
     }
-    for name, cell in cells.items():
-        doc["cells"][name] = bench_cell(
-            cell, warmup=warmup, measure=measure, seed=seed, engines=engines
-        )
-    if workloads:
-        doc["workloads"] = run_workload_benchmarks(seed=seed)
-    if faults:
-        doc["faults"] = run_fault_benchmarks(
-            warmup=warmup, measure=measure, seed=seed
-        )
-    if construction:
-        doc["construction"] = run_construction_benchmarks()
-    if scale:
-        doc["scale"] = run_scale_benchmarks(seed=seed)
-    if sweep_resilience:
-        doc["sweep_resilience"] = run_sweep_resilience_benchmark(seed=seed)
-    if obs_overhead:
-        doc["obs_overhead"] = run_obs_overhead_benchmark(seed=seed)
-    if ts_overhead:
-        doc["ts_overhead"] = run_ts_overhead_benchmark(seed=seed)
+    for section, name, job in jobs:
+        if name is None:
+            doc[section] = job()
+        else:
+            doc.setdefault(section, {})[name] = job()
     return doc
+
+
+class Gate(NamedTuple):
+    """One committed bound on one number of the document.
+
+    ``path`` leads from the document root to the number.  ``kind`` is
+    ``min`` (value >= bound), ``max`` (value <= bound) or ``slack``: the
+    committed baseline's value over this run's is <= bound.  A slack
+    gate compares two same-machine ratios, so it holds on runners
+    slower or faster than the machine that committed the baseline.
+    """
+
+    name: str
+    path: tuple
+    kind: str
+    bound: float
+
+
+_Q19_SPEEDUP = (
+    "construction", CONSTRUCTION_GATE, "routing_tables",
+    "speedup_batched_over_per_source",
+)
+
+#: Every gate ``check`` evaluates.
+GATES = [
+    *(
+        Gate(f"{name} flat/reference", (cell.section, name,
+             "speedup_flat_over_reference"), "min", 1.0)
+        for name, cell in CELLS.items()
+        if "reference" in cell.engines
+    ),
+    Gate(f"{CONSTRUCTION_GATE} RoutingTables batched/per-source",
+         _Q19_SPEEDUP, "min", 1.0),
+    Gate(f"{CONSTRUCTION_GATE} RoutingTables committed/measured speedup",
+         _Q19_SPEEDUP, "slack", 5.0),
+    Gate("sweep_resilience scheduler/pool.map, median of rounds",
+         ("sweep_resilience", "overhead_vs_pool_map"), "max", 1.05),
+    Gate("obs_overhead disabled/seed, min over min",
+         ("obs_overhead", "overhead_disabled_vs_seed"), "max", 1.03),
+    Gate("ts_overhead windows-off/seed, min over min",
+         ("ts_overhead", "overhead_off_vs_seed"), "max", 1.05),
+]
+
+
+def _lookup(doc, path):
+    for key in path:
+        if not isinstance(doc, dict) or key not in doc:
+            return None
+        doc = doc[key]
+    return doc
+
+
+def check(doc: dict, committed: "dict | None" = None) -> list:
+    """Evaluate :data:`GATES` on ``doc``: one ``(ok, line)`` per gate.
+
+    A gate whose number the run did not produce (a section ``only`` left
+    out) is not listed; a slack gate without a ``committed`` baseline
+    passes with a note.  A run without the C cycle kernel fails: its
+    ``flat`` cells ran the reference engine, so there was no flat engine
+    to gate.
+    """
+    lines = []
+    if not doc["machine"]["flat_kernel"]:
+        lines.append((False, (
+            "FAIL flat_kernel: the C cycle kernel did not build (no cffi "
+            "or compiler), so 'flat' ran the reference engine"
+        )))
+    for gate in GATES:
+        value = _lookup(doc, gate.path)
+        if value is None:
+            continue
+        if gate.kind == "slack":
+            old = _lookup(committed or {}, gate.path)
+            if old is None:
+                lines.append((True, f"SKIP {gate.name}: no committed baseline"))
+                continue
+            value = old / value
+        ok = value >= gate.bound if gate.kind == "min" else value <= gate.bound
+        op = ">=" if gate.kind == "min" else "<="
+        lines.append((ok, (
+            f"{'PASS' if ok else 'FAIL'} {gate.name}: {value:.3f} "
+            f"(gate {op} {gate.bound})"
+        )))
+    return lines
 
 
 def write_bench_json(doc: dict, path="BENCH_flitsim.json"):
